@@ -24,20 +24,6 @@ class AugmentConfig:
         if self.n_freq_masks < 0 or self.n_time_masks < 0:
             raise ValueError("mask counts must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "freq_mask_width": self.freq_mask_width,
-            "n_freq_masks": self.n_freq_masks,
-            "time_mask_width": self.time_mask_width,
-            "n_time_masks": self.n_time_masks,
-            "mask_value": self.mask_value,
-            "enabled": self.enabled,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AugmentConfig":
-        return cls(**d)
-
 
 def apply_specaugment(fm: FeatureMap, cfg: AugmentConfig, rng: np.random.Generator) -> FeatureMap:
     """Mask random frequency bands and time spans; input is never mutated.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -47,9 +48,9 @@ def load_run_config(path: str | Path | None) -> dict:
     if path is not None:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     features = FeatureConfig(**doc.get("features", {}))
-    encoder = EncoderConfig.from_dict(doc["encoder"]) if "encoder" in doc else EncoderConfig.tiny()
-    augment = AugmentConfig.from_dict(doc["augment"]) if "augment" in doc else AugmentConfig()
-    train_cfg = TrainConfig.from_dict(doc["train"]) if "train" in doc else TrainConfig()
+    encoder = EncoderConfig(**doc["encoder"]) if "encoder" in doc else EncoderConfig.tiny()
+    augment = AugmentConfig(**doc.get("augment", {}))
+    train_cfg = TrainConfig(**doc.get("train", {}))
     return {
         "features": features,
         "encoder": encoder,
@@ -138,8 +139,7 @@ def cmd_featurize(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    tcfg = cfg["train"]
-    tcfg = TrainConfig(**{**tcfg.to_dict(), "seed": seed})
+    tcfg = dataclasses.replace(cfg["train"], seed=seed)
 
     if args.split is not None:
         records = load_manifest(args.manifest)
@@ -207,7 +207,7 @@ def build_report(predictions: list[str], labels: list[str], taxonomy: Taxonomy, 
     return report
 
 
-def cmd_evaluate(args, predictions_override: list[str] | None = None) -> int:
+def cmd_evaluate(args) -> int:
     try:
         model = load_checkpoint(args.checkpoint)
     except (OSError, CheckpointError) as exc:
@@ -224,10 +224,7 @@ def cmd_evaluate(args, predictions_override: list[str] | None = None) -> int:
         print("error: no usable utterances", file=sys.stderr)
         return 2
     labels = [lab for _, lab in data]
-    if predictions_override is not None:
-        predictions = predictions_override
-    else:
-        predictions = [predict(model, fm)[0] for fm, _ in data]
+    predictions = [predict(model, fm)[0] for fm, _ in data]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from lidkit import tensor_ops as T
-from lidkit.encoder import EncoderConfig, build_encoder, encoder_backward, encoder_forward
+from lidkit.encoder import EncoderConfig, build_encoder, encoder_state_shapes
 from lidkit.gradcheck import finite_diff_check
-from lidkit.sap import classify, classify_backward, cross_entropy, init_sap_params, sap_backward, sap_forward
+from lidkit.model import Model, model_backward, model_forward
+from lidkit.sap import cross_entropy, init_sap_params, sap_backward, sap_forward
 
 ELEMENTWISE_TOL = 1e-5
 COMPOSITE_TOL = 1e-3
@@ -37,24 +38,6 @@ def _away_from_kinks(x: np.ndarray, eps: float = 1e-2) -> np.ndarray:
     return np.where(np.abs(x) < eps, eps * np.sign(x) + (x == 0) * eps, x)
 
 
-def check_linear(rng: np.random.Generator) -> CheckResult:
-    inputs = {
-        "x": rng.standard_normal(4),
-        "w": rng.standard_normal((3, 4)),
-        "b": rng.standard_normal(3),
-    }
-    probe = rng.standard_normal(3)
-
-    def loss(d):
-        return float(np.dot(probe, T.linear(d["x"], d["w"], d["b"])))
-
-    def grads(d):
-        gx, gw, gb = T.linear_backward(probe, d["x"], d["w"])
-        return {"x": gx, "w": gw, "b": gb}
-
-    return CheckResult("linear", finite_diff_check(loss, grads, inputs), ELEMENTWISE_TOL)
-
-
 def check_relu(rng: np.random.Generator) -> CheckResult:
     x = _away_from_kinks(rng.standard_normal((3, 4)))
     probe = rng.standard_normal((3, 4))
@@ -66,32 +49,6 @@ def check_relu(rng: np.random.Generator) -> CheckResult:
         return {"x": T.relu_backward(probe, d["x"])}
 
     return CheckResult("relu", finite_diff_check(loss, grads, {"x": x}), ELEMENTWISE_TOL)
-
-
-def check_tanh(rng: np.random.Generator) -> CheckResult:
-    x = rng.standard_normal((3, 4))
-    probe = rng.standard_normal((3, 4))
-
-    def loss(d):
-        return float(np.sum(probe * T.tanh_map(d["x"])))
-
-    def grads(d):
-        return {"x": T.tanh_backward(probe, T.tanh_map(d["x"]))}
-
-    return CheckResult("tanh", finite_diff_check(loss, grads, {"x": x}), 1e-6)
-
-
-def check_softmax(rng: np.random.Generator) -> CheckResult:
-    x = rng.standard_normal(5)
-    probe = rng.standard_normal(5)
-
-    def loss(d):
-        return float(np.dot(probe, T.softmax(d["x"])))
-
-    def grads(d):
-        return {"x": T.softmax_backward(probe, T.softmax(d["x"]))}
-
-    return CheckResult("softmax", finite_diff_check(loss, grads, {"x": x}), ELEMENTWISE_TOL)
 
 
 def check_dropout(rng: np.random.Generator) -> CheckResult:
@@ -205,50 +162,29 @@ def check_sap(rng: np.random.Generator) -> CheckResult:
 
 
 def _composite_loss_and_grads(cfg: EncoderConfig, d_att: int, n_classes: int, x64, valid, targets, params64):
+    """Loss and analytic gradients of model_forward/model_backward on a float64 Model.
+
+    The input batch is checked under ``"input"``, the key model_backward
+    returns its gradient under.
+    """
+    labels = [str(i) for i in range(n_classes)]
+    state_shapes = {f"enc.{k}": shape for k, shape in encoder_state_shapes(cfg).items()}
+
+    def run(d):
+        state = {k: (np.zeros if k.endswith(".mean") else np.ones)(shape) for k, shape in state_shapes.items()}
+        params = {k: v for k, v in d.items() if k != "input"}
+        model = Model(encoder_cfg=cfg, d_att=d_att, labels=labels, params=params, state=state)
+        _, loss, cache = model_forward(model, d["input"], valid, targets=targets, mode="train")
+        return model, loss, cache
+
     def loss(d):
-        enc = {k[4:]: v for k, v in d.items() if k.startswith("enc.")}
-        state = {}
-        for k, shape in [(n, p.shape) for n, p in enc.items() if n.endswith(".bn.gamma")]:
-            base = k[: -len(".gamma")]
-            state[f"{base}.mean"] = np.zeros(shape)
-            state[f"{base}.var"] = np.ones(shape)
-        frames, _ = encoder_forward(cfg, enc, state, d["x"], mode="train", valid_lens=valid)
-        total = 0.0
-        for i in range(frames.shape[0]):
-            st = sap_forward(frames[i], d, int(valid[i]))
-            logits = classify(st.embedding, d)
-            total += cross_entropy(logits, int(targets[i]))[0]
-        return total / frames.shape[0]
+        return run(d)[1]
 
     def grads(d):
-        enc = {k[4:]: v for k, v in d.items() if k.startswith("enc.")}
-        state = {}
-        for k, shape in [(n, p.shape) for n, p in enc.items() if n.endswith(".bn.gamma")]:
-            base = k[: -len(".gamma")]
-            state[f"{base}.mean"] = np.zeros(shape)
-            state[f"{base}.var"] = np.ones(shape)
-        frames, cache = encoder_forward(cfg, enc, state, d["x"], mode="train", valid_lens=valid)
-        n = frames.shape[0]
-        out = {k: np.zeros_like(v) for k, v in d.items()}
-        grad_frames = np.zeros_like(frames)
-        for i in range(n):
-            st = sap_forward(frames[i], d, int(valid[i]))
-            logits = classify(st.embedding, d)
-            gl = cross_entropy(logits, int(targets[i]))[1] / n
-            ge, hg = classify_backward(st.embedding, d, gl)
-            gx, sg = sap_backward(st, frames[i], d, ge)
-            grad_frames[i] = gx
-            for k, v in hg.items():
-                out[k] += v
-            for k, v in sg.items():
-                out[k] += v
-        g_in, enc_grads = encoder_backward(enc, cache, grad_frames)
-        out["x"] = g_in
-        for k, v in enc_grads.items():
-            out[f"enc.{k}"] = v
-        return out
+        model, _, cache = run(d)
+        return model_backward(model, cache)
 
-    inputs = {"x": x64, **params64}
+    inputs = {"input": x64, **params64}
     return loss, grads, inputs
 
 
@@ -290,10 +226,7 @@ def check_composite(
 
 
 ALL_CHECKS = [
-    check_linear,
     check_relu,
-    check_tanh,
-    check_softmax,
     check_dropout,
     check_conv_depthwise,
     check_conv_pointwise,

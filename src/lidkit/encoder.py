@@ -13,7 +13,7 @@ running statistics live in a separate state dict with the same naming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,27 +76,6 @@ class EncoderConfig:
     def tiny(cls) -> "EncoderConfig":
         # Small enough for finite-difference sweeps.
         return cls(channels=(8, 8, 8), kernel_sizes=(3, 5, 7), sub_blocks=2, out_channels=16)
-
-    def to_dict(self) -> dict:
-        return {
-            "channels": list(self.channels),
-            "kernel_sizes": list(self.kernel_sizes),
-            "sub_blocks": self.sub_blocks,
-            "input_dim": self.input_dim,
-            "out_channels": self.out_channels,
-            "dropout_rate": self.dropout_rate,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(
-            channels=tuple(d["channels"]),
-            kernel_sizes=tuple(d["kernel_sizes"]),
-            sub_blocks=d["sub_blocks"],
-            input_dim=d["input_dim"],
-            out_channels=d["out_channels"],
-            dropout_rate=d["dropout_rate"],
-        )
 
 
 def encoder_param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:

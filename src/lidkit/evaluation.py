@@ -67,11 +67,6 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     return Taxonomy(entries=entries)
 
 
-def argmax_label(logits: np.ndarray, labels: list[str]) -> str:
-    """Highest logit wins; ties break to the lowest class index."""
-    return labels[int(np.argmax(logits))]
-
-
 def top1_accuracy(predictions: list[str], labels: list[str]) -> float:
     if len(predictions) != len(labels):
         raise EvaluationError("predictions and labels differ in length")

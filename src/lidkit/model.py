@@ -1,8 +1,14 @@
-"""Full model: encoder + self-attentive pooling + classifier head."""
+"""Full model: encoder + self-attentive pooling + classifier head.
+
+Training, prediction and the composite gradient check share one batched
+path: ``model_forward`` runs the encoder, pooling, head and loss once
+over a padded (N, input_dim, T) batch, and ``model_backward`` returns the
+gradient of every parameter and of the input batch.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +69,7 @@ def model_forward(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ):
-    """Forward over a padded batch.
+    """Forward over a padded batch: x (N, input_dim, T) with N valid lengths.
 
     Returns (logits (N, n_classes), mean loss or None, cache for backward).
     """
@@ -75,43 +81,31 @@ def model_forward(
     for k, v in enc_state.items():  # write back updated running stats
         model.state[f"enc.{k}"] = v
 
-    n = x.shape[0]
-    logits = np.zeros((n, model.n_classes), dtype=x.dtype)
-    sap_states = []
-    losses = np.zeros(n, dtype=np.float64)
-    grad_logits = np.zeros_like(logits)
-    for i in range(n):
-        st = sap_forward(frames[i], model.params, int(valid_lens[i]) if valid_lens is not None else None)
-        sap_states.append(st)
-        logits[i] = classify(st.embedding, model.params)
-        if targets is not None:
-            losses[i], grad_logits[i] = cross_entropy(logits[i], int(targets[i]))
-    loss = float(losses.mean()) if targets is not None else None
-    cache = (frames, enc_cache, sap_states, grad_logits if targets is not None else None)
-    return logits, loss, cache
+    sap_state = sap_forward(frames, model.params, valid_lens)
+    logits = classify(sap_state.embedding, model.params)
+    loss = grad_logits = None
+    if targets is not None:
+        losses, grad_logits = cross_entropy(logits, targets)
+        loss = float(np.mean(losses, dtype=np.float64))
+    return logits, loss, (frames, enc_cache, sap_state, grad_logits)
 
 
-def model_backward(model: Model, cache):
-    """Gradients of the mean cross-entropy; call after a train-mode forward."""
-    frames, enc_cache, sap_states, grad_logits = cache
+def model_backward(model: Model, cache) -> dict[str, np.ndarray]:
+    """Gradients of the mean cross-entropy; call after a forward with targets.
+
+    Returns one gradient per ``model.params`` key, plus the gradient with
+    respect to the input batch x under ``"input"``.
+    """
+    frames, enc_cache, sap_state, grad_logits = cache
     if grad_logits is None:
         raise RuntimeError("backward requires a forward pass with targets")
-    n = len(sap_states)
-    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-    grad_frames = np.zeros_like(frames)
-    for i in range(n):
-        gl = grad_logits[i] / n  # mean reduction over the batch
-        grad_e, head_grads = classify_backward(sap_states[i].embedding, model.params, gl)
-        grad_x, sap_grads = sap_backward(sap_states[i], frames[i], model.params, grad_e)
-        grad_frames[i] = grad_x
-        for k, v in head_grads.items():
-            grads[k] += v
-        for k, v in sap_grads.items():
-            grads[k] += v
-    enc_params = _enc_view(model.params)
-    _, enc_grads = encoder_backward(enc_params, enc_cache, grad_frames)
-    for k, v in enc_grads.items():
-        grads[f"enc.{k}"] = v
+    grad_logits = grad_logits / len(grad_logits)  # mean reduction over the batch
+    grad_e, grads = classify_backward(sap_state.embedding, model.params, grad_logits)
+    grad_frames, sap_grads = sap_backward(sap_state, frames, model.params, grad_e)
+    grads.update(sap_grads)
+    grad_input, enc_grads = encoder_backward(_enc_view(model.params), enc_cache, grad_frames)
+    grads.update({f"enc.{k}": v for k, v in enc_grads.items()})
+    grads["input"] = grad_input
     return grads
 
 
@@ -124,5 +118,5 @@ def predict(model: Model, fm: FeatureMap):
     logits, _, cache = model_forward(model, x, valid, mode="eval")
     posterior = softmax(logits[0])
     idx = int(np.argmax(posterior))  # argmax takes the lowest index on ties
-    attention = cache[2][0].weights
+    attention = cache[2].weights[0]
     return model.labels[idx], posterior, attention

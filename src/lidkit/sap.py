@@ -4,24 +4,34 @@ Pooling scores each frame's hidden representation tanh(W x_t + b)
 against a learnable context vector, softmax-normalizes the scores over
 the valid frames, and returns the weighted sum of the raw frames as the
 utterance embedding.
+
+Every function takes a padded batch: (N, C, T) frames with N valid
+lengths, (N, C) embeddings, (N, K) logits with N targets.  A single
+utterance ((C, T) frames, a (C,) embedding, (K,) logits) is accepted
+too and gives unbatched results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from lidkit.tensor_ops import ShapeError, softmax
+from lidkit.tensor_ops import ShapeError
 
 
 @dataclass(frozen=True)
 class SapForwardState:
-    hidden: np.ndarray  # d_att x T_valid
-    scores: np.ndarray  # T_valid
-    weights: np.ndarray  # T, zero beyond valid_len
-    embedding: np.ndarray  # C
-    valid_len: int
+    """Batched arrays; T_used is the longest valid length in the batch."""
+
+    hidden: np.ndarray  # N x d_att x T_used
+    scores: np.ndarray  # N x T_used
+    weights: np.ndarray  # N x T, zero beyond each valid length
+    embedding: np.ndarray  # N x C
+
+
+def _map_state(state: SapForwardState, fn) -> SapForwardState:
+    return SapForwardState(**{f.name: fn(getattr(state, f.name)) for f in fields(state)})
 
 
 def init_sap_params(
@@ -41,77 +51,113 @@ def init_sap_params(
     }
 
 
-def sap_forward(x: np.ndarray, params: dict[str, np.ndarray], valid_len: int | None = None) -> SapForwardState:
-    """x: C x T frame features.  Frames at t >= valid_len are excluded."""
-    if x.ndim != 2:
-        raise ShapeError("sap_forward expects C x T")
-    c, t = x.shape
-    if valid_len is None:
-        valid_len = t
-    if not (1 <= valid_len <= t):
-        raise ShapeError(f"valid_len {valid_len} out of range for T={t}")
+def sap_forward(x: np.ndarray, params: dict[str, np.ndarray], valid_len=None) -> SapForwardState:
+    """x: (N, C, T) with N valid lengths, or (C, T) with one.
+
+    Frames at t >= valid_len are excluded; None means every frame is valid.
+    """
+    squeeze = x.ndim == 2
+    if squeeze:
+        x = x[None]
+    if x.ndim != 3:
+        raise ShapeError("sap_forward expects (N, C, T) or (C, T)")
+    n, c, t = x.shape
+    valid = np.full(n, t) if valid_len is None else np.asarray(valid_len, dtype=np.int64).reshape(-1)
+    if valid.shape != (n,):
+        raise ShapeError(f"expected {n} valid lengths, got {valid.size}")
+    if np.any(valid < 1) or np.any(valid > t):
+        raise ShapeError(f"valid_len {valid.tolist()} out of range for T={t}")
     w_att, b, mu = params["sap.W"], params["sap.b"], params["sap.mu"]
     if w_att.shape[1] != c:
         raise ShapeError(f"attention projection expects {w_att.shape[1]} channels, got {c}")
 
-    xv = x[:, :valid_len]
-    hidden = np.tanh(w_att @ xv + b[:, None])  # d_att x Tv
-    scores = mu @ hidden  # Tv
-    weights = np.zeros(t, dtype=x.dtype)
-    weights[:valid_len] = softmax(scores)
-    embedding = xv @ weights[:valid_len]
-    return SapForwardState(hidden=hidden, scores=scores, weights=weights, embedding=embedding, valid_len=valid_len)
+    t_used = int(valid.max())  # frames past every valid length are never read
+    xv = x[:, :, :t_used]
+    hidden = np.matmul(w_att, xv)  # N x d_att x T_used, then tanh(. + b) in place
+    hidden += b[:, None]
+    np.tanh(hidden, out=hidden)
+    scores = np.matmul(mu, hidden)  # N x T_used
+    masked = np.where(np.arange(t_used) < valid[:, None], scores, -np.inf)
+    z = np.exp(masked - masked.max(axis=1, keepdims=True))  # exactly 0 on padding
+    weights = np.zeros((n, t), dtype=x.dtype)
+    weights[:, :t_used] = z / z.sum(axis=1, keepdims=True)
+    embedding = np.matmul(xv, weights[:, :t_used, None])[:, :, 0]
+    state = SapForwardState(hidden=hidden, scores=scores, weights=weights, embedding=embedding)
+    return _map_state(state, lambda a: a[0]) if squeeze else state
 
 
 def sap_backward(
     state: SapForwardState, x: np.ndarray, params: dict[str, np.ndarray], grad_e: np.ndarray
 ):
-    """Adjoint of sap_forward.  Padded frames receive zero gradient."""
-    v = state.valid_len
-    xv = x[:, :v]
-    wv = state.weights[:v]
+    """Adjoint of sap_forward; parameter grads are summed over the batch.
+
+    Padded frames receive zero gradient.
+    """
+    squeeze = x.ndim == 2
+    if squeeze:
+        x, grad_e, state = x[None], grad_e[None], _map_state(state, lambda a: a[None])
     h = state.hidden
+    t_used = h.shape[2]
+    xv = x[:, :, :t_used]
+    wv = state.weights[:, :t_used]
     mu, w_att = params["sap.mu"], params["sap.W"]
 
+    grad_w = np.matmul(grad_e[:, None, :], xv)[:, 0]  # per-frame weight grads, N x T_used
+    grad_scores = wv * (grad_w - np.sum(grad_w * wv, axis=1, keepdims=True))  # softmax adjoint
+    grad_mu = np.matmul(h, grad_scores[:, :, None]).sum(axis=0)[:, 0]
+    # grad_pre = mu grad_scores^T * (1 - h^2), built in place
+    grad_pre = h * h
+    np.subtract(1.0, grad_pre, out=grad_pre)
+    grad_pre *= mu[:, None]
+    grad_pre *= grad_scores[:, None, :]
+    grad_W = np.matmul(grad_pre, xv.transpose(0, 2, 1)).sum(axis=0)
+    grad_b = grad_pre.sum(axis=(0, 2))
+
     grad_x = np.zeros_like(x)
-    grad_x[:, :v] = np.outer(grad_e, wv)  # e = sum_t w_t x_t
-    grad_w = xv.T @ grad_e  # per-frame weight grads
-
-    grad_scores = wv * (grad_w - np.dot(grad_w, wv))  # softmax adjoint
-    grad_mu = h @ grad_scores
-    grad_h = np.outer(mu, grad_scores)
-    grad_pre = grad_h * (1.0 - h * h)
-    grad_W = grad_pre @ xv.T
-    grad_b = grad_pre.sum(axis=1)
-    grad_x[:, :v] += w_att.T @ grad_pre
-
-    return grad_x, {"sap.W": grad_W, "sap.b": grad_b, "sap.mu": grad_mu}
+    gxv = grad_x[:, :, :t_used]
+    np.matmul(w_att.T, grad_pre, out=gxv)
+    gxv += grad_e[:, :, None] * wv[:, None, :]  # e = sum_t w_t x_t
+    return (grad_x[0] if squeeze else grad_x), {"sap.W": grad_W, "sap.b": grad_b, "sap.mu": grad_mu}
 
 
 def classify(e: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
-    """Logits = head.W @ e + head.b."""
+    """Logits = e @ head.W^T + head.b, for (N, C) or (C,) embeddings."""
     w, b = params["head.W"], params["head.b"]
-    if w.shape[1] != e.shape[0]:
-        raise ShapeError(f"head expects embedding of size {w.shape[1]}, got {e.shape[0]}")
-    return w @ e + b
+    if w.shape[1] != e.shape[-1]:
+        raise ShapeError(f"head expects embedding of size {w.shape[1]}, got {e.shape[-1]}")
+    return e @ w.T + b
 
 
 def classify_backward(e: np.ndarray, params: dict[str, np.ndarray], grad_logits: np.ndarray):
-    grad_e = params["head.W"].T @ grad_logits
-    return grad_e, {"head.W": np.outer(grad_logits, e), "head.b": grad_logits.copy()}
+    """Adjoint of classify; parameter grads are summed over the batch."""
+    squeeze = e.ndim == 1
+    if squeeze:
+        e, grad_logits = e[None], grad_logits[None]
+    grad_e = grad_logits @ params["head.W"]
+    grads = {"head.W": grad_logits.T @ e, "head.b": grad_logits.sum(axis=0)}
+    return (grad_e[0] if squeeze else grad_e), grads
 
 
-def cross_entropy(logits: np.ndarray, target_class: int):
+def cross_entropy(logits: np.ndarray, target):
     """Returns (loss, grad_logits); loss = -log softmax(logits)[target].
 
-    Computed in log space with max subtraction, so extreme logits stay finite.
+    (N, K) logits with N targets give per-row losses; (K,) logits with
+    one target give a float.  Computed in log space with max subtraction,
+    so extreme logits stay finite.
     """
-    n = logits.shape[0]
-    if not (0 <= target_class < n):
-        raise IndexError(f"target {target_class} out of range for {n} classes")
-    shifted = logits - np.max(logits)
-    log_z = np.log(np.sum(np.exp(shifted)))
-    loss = float(log_z - shifted[target_class])
-    grad = np.exp(shifted - log_z)
-    grad[target_class] -= 1.0
-    return loss, grad
+    squeeze = logits.ndim == 1
+    if squeeze:
+        logits = logits[None]
+    n, k = logits.shape
+    targets = np.asarray(target).reshape(-1)
+    if targets.shape != (n,):
+        raise ShapeError(f"expected {n} targets, got {targets.size}")
+    if np.any((targets < 0) | (targets >= k)):
+        raise IndexError(f"target {targets.tolist()} out of range for {k} classes")
+    rows = np.arange(n)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.sum(np.exp(shifted), axis=1))
+    loss = log_z - shifted[rows, targets]
+    grad = np.exp(shifted - log_z[:, None])
+    grad[rows, targets] -= 1.0
+    return (float(loss[0]), grad[0]) if squeeze else (loss, grad)

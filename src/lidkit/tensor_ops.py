@@ -16,11 +16,6 @@ class ShapeError(Exception):
     pass
 
 
-def _check_finite(name: str, x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"{name} produced non-finite values")
-
-
 # ---------------------------------------------------------------------------
 # depthwise 1D convolution over time, one kernel per channel
 
@@ -170,7 +165,7 @@ def batch_norm_1d_backward(grad_out: np.ndarray, cache):
 
 
 # ---------------------------------------------------------------------------
-# elementwise and small dense ops
+# elementwise ops and softmax
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -181,26 +176,12 @@ def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0)
 
 
-def tanh_map(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
-def tanh_backward(grad_out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """y is the forward output tanh(x)."""
-    return grad_out * (1.0 - y * y)
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Stable softmax over a vector."""
     if x.ndim != 1 or x.size < 1:
         raise ShapeError("softmax expects a non-empty vector")
     z = np.exp(x - np.max(x))
     return z / z.sum()
-
-
-def softmax_backward(grad_out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """y is the forward output."""
-    return y * (grad_out - np.dot(grad_out, y))
 
 
 def dropout(x: np.ndarray, p: float, rng: np.random.Generator, mode: str):
@@ -219,13 +200,3 @@ def dropout(x: np.ndarray, p: float, rng: np.random.Generator, mode: str):
 def dropout_backward(grad_out: np.ndarray, mask) -> np.ndarray:
     return grad_out if mask is None else grad_out * mask
 
-
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x: (D,), w: (O, D), b: (O,)."""
-    if w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
-        raise ShapeError(f"linear shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
-    return w @ x + b
-
-
-def linear_backward(grad_out: np.ndarray, x: np.ndarray, w: np.ndarray):
-    return w.T @ grad_out, np.outer(grad_out, x), grad_out.copy()

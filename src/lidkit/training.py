@@ -11,7 +11,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,21 +53,6 @@ class TrainConfig:
         if self.batch_size < 2:
             raise TrainError("batch_size must be >= 2 (batch-norm precondition)")
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr_max": self.lr_max,
-            "lr_min": self.lr_min,
-            "seed": self.seed,
-            "patience": self.patience,
-            "total_steps": self.total_steps,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
 
 def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float) -> float:
     """Half-cosine decay from lr_max at step 0 to lr_min at total_steps."""
@@ -102,11 +87,10 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
     tensors = [{"name": k, "shape": list(v.shape), "kind": "param"} for k, v in model.params.items()]
     tensors += [{"name": k, "shape": list(v.shape), "kind": "state"} for k, v in model.state.items()]
     header = {
-        "encoder": model.encoder_cfg.to_dict(),
+        "encoder": asdict(model.encoder_cfg),
         "d_att": model.d_att,
         "labels": model.labels,
         "step": model.step,
-        "rng": {"seed_note": "all rng streams derive from (seed, epoch, step)"},
         "tensors": tensors,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -134,7 +118,7 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
 
-    cfg = EncoderConfig.from_dict(header["encoder"])
+    cfg = EncoderConfig(**header["encoder"])
     if expect_encoder is not None and cfg != expect_encoder:
         raise CheckpointError(f"{path}: checkpoint encoder config does not match the expected config")
 

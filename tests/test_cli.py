@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lidkit.cli import build_report, load_manifest, main, split_manifest
+from lidkit.diagnostics import ALL_CHECKS
 from lidkit.evaluation import load_taxonomy
 from lidkit.synthetic import make_corpus, write_corpus_wavs
 from tests.conftest import DATA_DIR
@@ -207,7 +208,7 @@ class TestGradcheck:
     def test_passes_with_exit_zero(self, capsys):
         assert main(["gradcheck", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert out.count("pass") >= 11  # one row per primitive plus composite
+        assert out.count("pass") == len(ALL_CHECKS) + 1  # one row per primitive plus composite
 
     def test_corrupted_backward_nonzero_exit(self, capsys):
         assert main(["gradcheck", "--seed", "1", "--corrupt"]) == 1

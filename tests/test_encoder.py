@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ class TestConfig:
 
     def test_roundtrip_dict(self):
         cfg = EncoderConfig.tiny()
-        assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
+        assert EncoderConfig(**dataclasses.asdict(cfg)) == cfg
 
 
 class TestBuild:

@@ -5,7 +5,6 @@ from lidkit.evaluation import (
     ConfusionMatrix,
     EvaluationError,
     Taxonomy,
-    argmax_label,
     confusion,
     load_taxonomy,
     rollup,
@@ -67,10 +66,6 @@ class TestTop1:
     def test_length_mismatch(self):
         with pytest.raises(EvaluationError):
             top1_accuracy(["a"], ["a", "b"])
-
-    def test_tie_breaks_to_lowest_index(self):
-        logits = np.array([0.5, 0.5, 0.1])
-        assert argmax_label(logits, ["x", "y", "z"]) == "x"
 
 
 class TestRollup:

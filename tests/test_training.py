@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -145,6 +147,19 @@ class TestCheckpoint:
             assert np.array_equal(loaded.params[k], model.params[k])
         for k in model.state:
             assert np.array_equal(loaded.state[k], model.state[k])
+
+        # headers written before the rng note was dropped still load
+        raw = (tmp_path / "m.lidk").read_bytes()
+        (header_len,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16 : 16 + header_len])
+        header["rng"] = {"seed_note": "all rng streams derive from (seed, epoch, step)"}
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        old = tmp_path / "old.lidk"
+        old.write_bytes(raw[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + raw[16 + header_len :])
+        loaded_old = load_checkpoint(old)
+        assert loaded_old.labels == model.labels and loaded_old.encoder_cfg == model.encoder_cfg
+        for k in model.params:
+            assert np.array_equal(loaded_old.params[k], model.params[k])
 
     def test_corrupt_length_field_reported(self, tmp_path):
         model = toy_model(seed=7)
