@@ -3,7 +3,7 @@
 Each layer (and one tiny end-to-end encoder + pooling + loss composite)
 exposes a hand-written adjoint; this script compares them against 64-bit
 central differences and prints one line per check.  Equivalent to
-``lidkit gradcheck`` but with a few seeds for variety.
+the ``gradcheck`` CLI command but with a few seeds for variety.
 
 Run:  python3 demos/02_gradient_audit.py
 """

@@ -17,8 +17,9 @@ from lidkit.audio import WavError, decode_wav
 from lidkit.diagnostics import run_all_checks
 from lidkit.encoder import EncoderConfig
 from lidkit.evaluation import Taxonomy, confusion, load_taxonomy, rollup, top1_accuracy
-from lidkit.features import FeatureConfig, FeatureError, compute_mfsc, save_feature_map
+from lidkit.features import FeatureConfig, FeatureError, compute_mfsc
 from lidkit.model import D_ATT_DEFAULT, build_model, predict
+from lidkit.tensor_ops import ShapeError
 from lidkit.training import (
     CheckpointError,
     TrainConfig,
@@ -44,13 +45,20 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def load_run_config(path: str | Path | None) -> dict:
+    """Read and validate a run config; an unreadable or invalid one raises CliError."""
     doc = {}
-    if path is not None:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    features = FeatureConfig(**doc.get("features", {}))
-    encoder = EncoderConfig(**doc["encoder"]) if "encoder" in doc else EncoderConfig.tiny()
-    augment = AugmentConfig(**doc.get("augment", {}))
-    train_cfg = TrainConfig(**doc.get("train", {}))
+    try:
+        if path is not None:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(doc, dict):
+                raise CliError(f"run config {path}: expected a JSON object")
+        features = FeatureConfig(**doc.get("features", {}))
+        encoder = EncoderConfig(**doc["encoder"]) if "encoder" in doc else EncoderConfig.tiny()
+        augment = AugmentConfig(**doc.get("augment", {}))
+        train_cfg = TrainConfig(**doc.get("train", {}))
+    except (OSError, ValueError, TypeError, FeatureError, ShapeError, TrainError) as exc:
+        # ValueError covers malformed JSON and AugmentConfig; TypeError, unknown or missing keys
+        raise CliError(f"run config {path}: {exc}") from exc
     return {
         "features": features,
         "encoder": encoder,
@@ -116,6 +124,7 @@ def featurize_records(records: list[dict], fcfg: FeatureConfig):
 
 
 def cmd_featurize(args) -> int:
+    """Decode and featurize every clip; writes only featurize_summary.json."""
     cfg = load_run_config(args.config)
     records = load_manifest(args.manifest)
     if not records:
@@ -124,10 +133,7 @@ def cmd_featurize(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data, failures = featurize_records(records, cfg["features"])
-    total_frames = 0
-    for fm, _ in data:
-        save_feature_map(fm, out / f"{fm.id}.mfsc")
-        total_frames += fm.n_frames
+    total_frames = sum(fm.n_frames for fm, _ in data)
     summary = {"count": len(data), "failures": failures, "total_frames": total_frames}
     atomic_write_text(out / "featurize_summary.json", json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
@@ -290,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lidkit", description="Spoken language identification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("featurize", help="compute MFSC features for a manifest")
+    p = sub.add_parser("featurize", help="decode and featurize every clip of a manifest; write a summary")
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)

@@ -9,6 +9,8 @@ dilation 1 everywhere, so time length is preserved end to end.
 
 Parameters live in a flat ordered dict (name -> array); batch-norm
 running statistics live in a separate state dict with the same naming.
+Train mode updates the arrays of that state dict in place and never
+replaces them; eval mode leaves them bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from lidkit.tensor_ops import (
-    BatchNormState,
     ShapeError,
     batch_norm_1d,
     batch_norm_1d_backward,
@@ -31,9 +32,6 @@ from lidkit.tensor_ops import (
     relu,
     relu_backward,
 )
-
-BN_MOMENTUM = 0.1
-BN_EPSILON = 1e-5
 
 
 @dataclass(frozen=True)
@@ -128,10 +126,7 @@ def build_encoder(cfg: EncoderConfig, seed: int, dtype=np.float32):
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in encoder_param_shapes(cfg).items():
-        if name.endswith(".dw"):
-            fan_in = shape[1]
-            params[name] = (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
-        elif name.endswith(".pw_w"):
+        if name.endswith((".dw", ".pw_w")):
             fan_in = shape[1]
             params[name] = (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
         elif name.endswith(".gamma"):
@@ -145,18 +140,8 @@ def build_encoder(cfg: EncoderConfig, seed: int, dtype=np.float32):
 
 
 def _bn_apply(x, params, state, prefix, mode, mask=None):
-    bn = BatchNormState(
-        gamma=params[f"{prefix}.gamma"],
-        beta=params[f"{prefix}.beta"],
-        running_mean=state[f"{prefix}.mean"],
-        running_var=state[f"{prefix}.var"],
-        momentum=BN_MOMENTUM,
-        epsilon=BN_EPSILON,
-    )
-    out, cache = batch_norm_1d(x, bn, mode, mask=mask)
-    state[f"{prefix}.mean"] = bn.running_mean
-    state[f"{prefix}.var"] = bn.running_var
-    return out, cache
+    return batch_norm_1d(x, params[f"{prefix}.gamma"], params[f"{prefix}.beta"],
+                         state[f"{prefix}.mean"], state[f"{prefix}.var"], mode, mask=mask)
 
 
 def _valid_mask(n: int, t: int, valid_lens, dtype):

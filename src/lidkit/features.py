@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -135,25 +134,3 @@ def compute_mfsc(clip: AudioClip, config: FeatureConfig) -> FeatureMap:
     fb = mel_filterbank(config).astype(np.float64)
     feats = np.log(power @ fb.T + config.log_floor)
     return FeatureMap(data=feats.astype(np.float32), frame_hop=config.frame_hop, id=clip.id)
-
-
-def save_feature_map(fm: FeatureMap, path: str | Path) -> None:
-    """Text dump: header ``MFSC v1 <T> <F>`` then T lines of F floats."""
-    lines = [f"MFSC v1 {fm.n_frames} {fm.n_bins}"]
-    for row in fm.data:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_feature_map(path: str | Path, frame_hop: float = 0.010) -> FeatureMap:
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text or not text[0].startswith("MFSC v1 "):
-        raise FeatureError(f"{path}: not an MFSC v1 file")
-    _, _, t_str, f_str = text[0].split()
-    t, f = int(t_str), int(f_str)
-    if len(text) < 1 + t:
-        raise FeatureError(f"{path}: expected {t} frame lines")
-    data = np.array([[float(v) for v in line.split()] for line in text[1 : 1 + t]], dtype=np.float32)
-    if data.shape != (t, f):
-        raise FeatureError(f"{path}: shape mismatch")
-    return FeatureMap(data=data, frame_hop=frame_hop, id=Path(path).stem)

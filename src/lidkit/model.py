@@ -44,8 +44,9 @@ def build_model(
     return Model(encoder_cfg=encoder_cfg, d_att=d_att, labels=list(labels), params=params, state=state)
 
 
-def _enc_view(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k[4:]: v for k, v in params.items() if k.startswith("enc.")}
+def _enc_view(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The encoder's entries without the ``enc.`` prefix; the arrays are shared, not copied."""
+    return {k[4:]: v for k, v in tensors.items() if k.startswith("enc.")}
 
 
 def batch_from_features(maps: list[FeatureMap], dtype=np.float32):
@@ -71,15 +72,14 @@ def model_forward(
 ):
     """Forward over a padded batch: x (N, input_dim, T) with N valid lengths.
 
-    Returns (logits (N, n_classes), mean loss or None, cache for backward).
+    Train mode updates the arrays of ``model.state`` (batch-norm running
+    statistics) in place; eval mode leaves them unchanged.  Returns
+    (logits (N, n_classes), mean loss or None, cache for backward).
     """
-    enc_params = _enc_view(model.params)
-    enc_state = {k[4:]: v for k, v in model.state.items()}
     frames, enc_cache = encoder_forward(
-        model.encoder_cfg, enc_params, enc_state, x, mode=mode, rng=rng, valid_lens=valid_lens
+        model.encoder_cfg, _enc_view(model.params), _enc_view(model.state), x,
+        mode=mode, rng=rng, valid_lens=valid_lens,
     )
-    for k, v in enc_state.items():  # write back updated running stats
-        model.state[f"enc.{k}"] = v
 
     sap_state = sap_forward(frames, model.params, valid_lens)
     logits = classify(sap_state.embedding, model.params)

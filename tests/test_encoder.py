@@ -11,7 +11,7 @@ from lidkit.encoder import (
     encoder_forward,
     encoder_param_shapes,
 )
-from lidkit.gradcheck import finite_diff_check
+from lidkit.diagnostics import finite_diff_check
 
 
 def tiny_cfg(**kw):
@@ -124,11 +124,8 @@ class TestForward:
         out, _ = encoder_forward(cfg, params, state, x, mode="eval")
 
         def bn_eval(v, prefix):
-            st = T.BatchNormState(
-                gamma=params[f"{prefix}.gamma"], beta=params[f"{prefix}.beta"],
-                running_mean=state[f"{prefix}.mean"], running_var=state[f"{prefix}.var"],
-            )
-            return T.batch_norm_1d(v, st, "eval")[0]
+            return T.batch_norm_1d(v, params[f"{prefix}.gamma"], params[f"{prefix}.beta"],
+                                   state[f"{prefix}.mean"], state[f"{prefix}.var"], "eval")[0]
 
         h = T.conv1d_depthwise(x, params["prologue.dw"])
         h = T.conv1d_pointwise(h, params["prologue.pw_w"], params["prologue.pw_b"])

@@ -9,9 +9,7 @@ from lidkit.features import (
     filter_centers_hz,
     frame_count,
     hz_to_mel,
-    load_feature_map,
     mel_filterbank,
-    save_feature_map,
 )
 
 
@@ -138,21 +136,3 @@ class TestComputeMfsc:
         samples = rng.uniform(-1, 1, 5000).astype(np.float32)
         fm = compute_mfsc(make_clip(samples), FeatureConfig())
         assert np.all(np.isfinite(fm.data))
-
-
-class TestFeatureDump:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        fm = compute_mfsc(make_clip(rng.uniform(-1, 1, 3200).astype(np.float32)), FeatureConfig())
-        path = tmp_path / "utt.mfsc"
-        save_feature_map(fm, path)
-        header = path.read_text().splitlines()[0]
-        assert header == f"MFSC v1 {fm.n_frames} {fm.n_bins}"
-        loaded = load_feature_map(path)
-        assert np.array_equal(loaded.data, fm.data)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.mfsc"
-        path.write_text("nonsense\n")
-        with pytest.raises(FeatureError):
-            load_feature_map(path)

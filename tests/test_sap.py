@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidkit.gradcheck import finite_diff_check
+from lidkit.diagnostics import finite_diff_check
 from lidkit.sap import (
     classify,
     classify_backward,

@@ -116,41 +116,42 @@ def test_separable_composition_equals_full_conv():
         assert np.max(np.abs(got - expected)) <= 1e-5 * max(1.0, np.max(np.abs(expected)))
 
 
+def bn_args(channels: int):
+    """gamma, beta, running_mean, running_var for a fresh float64 batch norm."""
+    return np.ones(channels), np.zeros(channels), np.zeros(channels), np.ones(channels)
+
+
 class TestBatchNorm:
     def test_train_mode_normalizes(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((4, 3, 10)) * 5 + 2
-        state = T.BatchNormState.create(3, dtype=np.float64)
-        out, _ = T.batch_norm_1d(x, state, "train")
+        out, _ = T.batch_norm_1d(x, *bn_args(3), "train")
         assert np.max(np.abs(out.mean(axis=(0, 2)))) <= 1e-4
         assert np.max(np.abs(out.var(axis=(0, 2)) - 1.0)) <= 1e-4
 
     def test_constant_channel_gives_beta(self):
         x = np.full((2, 2, 5), 3.0)
-        state = T.BatchNormState.create(2, dtype=np.float64)
-        state.beta = np.array([0.5, -0.5])
-        out, _ = T.batch_norm_1d(x, state, "train")
+        gamma, _, mean, var = bn_args(2)
+        out, _ = T.batch_norm_1d(x, gamma, np.array([0.5, -0.5]), mean, var, "train")
         assert np.allclose(out[:, 0], 0.5, atol=1e-6)
         assert np.allclose(out[:, 1], -0.5, atol=1e-6)
 
     def test_running_stats_updated(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 2, 8)) + 10.0
-        state = T.BatchNormState.create(2, dtype=np.float64)
-        T.batch_norm_1d(x, state, "train")
-        assert np.all(state.running_mean > 0.5)  # moved toward batch mean 10
+        gamma, beta, running_mean, running_var = bn_args(2)
+        T.batch_norm_1d(x, gamma, beta, running_mean, running_var, "train")
+        assert np.all(running_mean > 0.5)  # moved toward batch mean 10
 
     def test_eval_uses_running_stats(self):
         x = np.ones((1, 2, 3))
-        state = T.BatchNormState.create(2, dtype=np.float64)
-        out, _ = T.batch_norm_1d(x, state, "eval")
-        expected = 1.0 / np.sqrt(1.0 + state.epsilon)
+        out, _ = T.batch_norm_1d(x, *bn_args(2), "eval")
+        expected = 1.0 / np.sqrt(1.0 + T.BN_EPSILON)
         assert np.allclose(out, expected)
 
     def test_tiny_batch_rejected_in_train(self):
-        state = T.BatchNormState.create(2, dtype=np.float64)
         with pytest.raises(T.ShapeError):
-            T.batch_norm_1d(np.zeros((1, 2, 1)), state, "train")
+            T.batch_norm_1d(np.zeros((1, 2, 1)), *bn_args(2), "train")
 
 
 class TestElementwise:

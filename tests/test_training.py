@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -8,7 +9,7 @@ import pytest
 from lidkit.augment import AugmentConfig
 from lidkit.encoder import EncoderConfig
 from lidkit.features import FeatureMap
-from lidkit.model import build_model, model_backward, model_forward
+from lidkit.model import batch_from_features, build_model, model_backward, model_forward
 from lidkit.training import (
     CheckpointError,
     NonFiniteGradientError,
@@ -104,8 +105,6 @@ class TestInitialLoss:
         model = build_model(TINY, [f"lang{i}" for i in range(23)], seed=0, d_att=4)
         data = toy_dataset(n_per_class=1, n_classes=8, seed=1)
         x_list = [fm for fm, _ in data]
-        from lidkit.model import batch_from_features
-
         x, valid = batch_from_features(x_list)
         targets = [i % 23 for i in range(len(x_list))]
         _, loss, _ = model_forward(model, x, valid, targets=targets, mode="train",
@@ -126,6 +125,27 @@ class TestPaddingNeutrality:
         _, loss_a, _ = model_forward(model, x_short, valid, targets=[label], mode="eval")
         _, loss_b, _ = model_forward(model, x_long, valid, targets=[label], mode="eval")
         assert abs(loss_a - loss_b) <= 1e-5
+
+
+class TestRunningStats:
+    def test_train_updates_state_arrays_in_place_eval_leaves_them(self):
+        # dropout > 0 makes the batch statistics float64 while the state stays float32
+        cfg = dataclasses.replace(TINY, dropout_rate=0.1)
+        model = build_model(cfg, ["c0", "c1", "c2"], seed=4, d_att=4)
+        data = toy_dataset(n_per_class=1, seed=4)
+        x, valid = batch_from_features([fm for fm, _ in data])
+        arrays = dict(model.state)
+        before = {k: v.copy() for k, v in arrays.items()}
+        model_forward(model, x, valid, targets=[c for _, c in data], mode="train",
+                      rng=np.random.default_rng(0))
+        for k, v in model.state.items():
+            assert v is arrays[k], k
+            assert v.dtype == np.float32 and not np.array_equal(v, before[k]), k
+
+        after_train = {k: v.copy() for k, v in model.state.items()}
+        model_forward(model, x, valid, mode="eval")
+        for k, v in model.state.items():
+            assert v is arrays[k] and v.tobytes() == after_train[k].tobytes(), k
 
 
 class TestCheckpoint:
