@@ -44,30 +44,45 @@ def atomic_write_text(path: Path, text: str) -> None:
 # run configuration: one JSON document covering every stage
 
 
+_SECTIONS = {"features": FeatureConfig, "encoder": EncoderConfig, "augment": AugmentConfig, "train": TrainConfig}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_run_config(path: str | Path | None) -> dict:
-    """Read and validate a run config; an unreadable or invalid one raises CliError."""
+    """Read and validate a run config; an unreadable or invalid one raises CliError.
+
+    Every key must be known and every integer field must hold integers: a
+    JSON float or string there would otherwise fail deep inside training.
+    """
     doc = {}
     try:
         if path is not None:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(doc, dict):
                 raise CliError(f"run config {path}: expected a JSON object")
-        features = FeatureConfig(**doc.get("features", {}))
-        encoder = EncoderConfig(**doc["encoder"]) if "encoder" in doc else EncoderConfig.tiny()
-        augment = AugmentConfig(**doc.get("augment", {}))
-        train_cfg = TrainConfig(**doc.get("train", {}))
+        unknown = sorted(set(doc) - set(_SECTIONS) - {"d_att", "seed"})
+        if unknown:
+            raise CliError(f"run config {path}: unknown keys {unknown}")
+        d_att, seed = doc.get("d_att", D_ATT_DEFAULT), doc.get("seed", 0)
+        if not _is_int(d_att) or d_att < 1:
+            raise CliError(f"run config {path}: d_att must be an integer >= 1, got {d_att!r}")
+        if not _is_int(seed):
+            raise CliError(f"run config {path}: seed must be an integer, got {seed!r}")
+        cfg = {name: cls(**doc.get(name, {})) for name, cls in _SECTIONS.items() if name != "encoder"}
+        cfg["encoder"] = EncoderConfig(**doc["encoder"]) if "encoder" in doc else EncoderConfig.tiny()
+        for section, obj in cfg.items():
+            for field in dataclasses.fields(obj):  # "int", "int | None" or "tuple[int, ...]"
+                kind, value = str(field.type), getattr(obj, field.name)
+                ok = all(map(_is_int, value if isinstance(value, tuple) else (value,)))
+                if "int" in kind and not ok and not (value is None and "None" in kind):
+                    raise CliError(f"run config {path}: {section}.{field.name} must be an integer, got {value!r}")
     except (OSError, ValueError, TypeError, FeatureError, ShapeError, TrainError) as exc:
         # ValueError covers malformed JSON and AugmentConfig; TypeError, unknown or missing keys
         raise CliError(f"run config {path}: {exc}") from exc
-    return {
-        "features": features,
-        "encoder": encoder,
-        "augment": augment,
-        "train": train_cfg,
-        "d_att": doc.get("d_att", D_ATT_DEFAULT),
-        "taxonomy": doc.get("taxonomy"),
-        "seed": doc.get("seed", 0),
-    }
+    return {**cfg, "d_att": d_att, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +269,16 @@ def cmd_predict(args) -> int:
         return 2
     cfg = load_run_config(args.config)
     if args.wav:
-        paths = [Path(args.wav)]
+        records = [{"audio_filepath": args.wav, "label": None}]
     else:
-        paths = [Path(r["audio_filepath"]) for r in load_manifest(args.manifest)]
+        records = load_manifest(args.manifest)
+    data, failures = featurize_records(records, cfg["features"])
+    if failures:  # fail fast: one bad clip and nothing is printed
+        print(f"error: {failures[0]['audio_filepath']}: {failures[0]['error']}", file=sys.stderr)
+        return 2
 
     outputs = []
-    for path in paths:
-        try:
-            clip = decode_wav(path.read_bytes(), clip_id=path.stem)
-            fm = compute_mfsc(clip, cfg["features"])
-        except (OSError, WavError, FeatureError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
+    for fm, _ in data:
         label, posterior, attention = predict(model, fm)
         outputs.append(
             {

@@ -7,6 +7,10 @@ A prologue sub-block lifts the feature dimension into the first block and
 a pointwise epilogue maps to the frame-feature width.  Stride 1 and
 dilation 1 everywhere, so time length is preserved end to end.
 
+``encoder_blocks(cfg)`` writes that layout down once, as a list of
+(layers, skip, dropout?) entries in forward order; parameter shapes, the
+forward pass and the backward pass are each one loop over it.
+
 Parameters live in a flat ordered dict (name -> array); batch-norm
 running statistics live in a separate state dict with the same naming.
 Train mode updates the arrays of that state dict in place and never
@@ -76,35 +80,35 @@ class EncoderConfig:
         return cls(channels=(8, 8, 8), kernel_sizes=(3, 5, 7), sub_blocks=2, out_channels=16)
 
 
+def encoder_blocks(cfg: EncoderConfig) -> list:
+    """The encoder's layout in forward order: one (layers, skip, dropout?) entry per block.
+
+    A layer is (name, c_in, c_out, k): depthwise conv of width k, then
+    pointwise conv, then batch norm; k = 0 means pointwise only.  The skip
+    is a pointwise-only layer on the block input (or None); its output
+    joins the last layer's before that layer's ReLU.
+    """
+    blocks = [([("prologue", cfg.input_dim, cfg.channels[0], cfg.kernel_sizes[0])], None, True)]
+    c_in = cfg.channels[0]
+    for b, (c_out, k) in enumerate(zip(cfg.channels, cfg.kernel_sizes)):
+        layers = [(f"block{b}.sub{r}", c_out if r else c_in, c_out, k) for r in range(cfg.sub_blocks)]
+        blocks.append((layers, (f"block{b}.res", c_in, c_out, 0), True))
+        c_in = c_out
+    blocks.append(([("epilogue", c_in, cfg.out_channels, 0)], None, False))
+    return blocks
+
+
 def encoder_param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Every learnable tensor's shape, derivable from the config alone."""
     shapes: dict[str, tuple[int, ...]] = {}
-
-    def sep(prefix: str, c_in: int, c_out: int, k: int):
-        shapes[f"{prefix}.dw"] = (c_in, k)
-        shapes[f"{prefix}.pw_w"] = (c_out, c_in)
-        shapes[f"{prefix}.pw_b"] = (c_out,)
-        shapes[f"{prefix}.bn.gamma"] = (c_out,)
-        shapes[f"{prefix}.bn.beta"] = (c_out,)
-
-    sep("prologue", cfg.input_dim, cfg.channels[0], cfg.kernel_sizes[0])
-    c_in = cfg.channels[0]
-    for b in range(cfg.num_blocks):
-        c_out = cfg.channels[b]
-        k = cfg.kernel_sizes[b]
-        c = c_in
-        for r in range(cfg.sub_blocks):
-            sep(f"block{b}.sub{r}", c, c_out, k)
-            c = c_out
-        shapes[f"block{b}.res.pw_w"] = (c_out, c_in)
-        shapes[f"block{b}.res.pw_b"] = (c_out,)
-        shapes[f"block{b}.res.bn.gamma"] = (c_out,)
-        shapes[f"block{b}.res.bn.beta"] = (c_out,)
-        c_in = c_out
-    shapes["epilogue.pw_w"] = (cfg.out_channels, c_in)
-    shapes["epilogue.pw_b"] = (cfg.out_channels,)
-    shapes["epilogue.bn.gamma"] = (cfg.out_channels,)
-    shapes["epilogue.bn.beta"] = (cfg.out_channels,)
+    for layers, skip, _ in encoder_blocks(cfg):
+        for name, c_in, c_out, k in layers + ([skip] if skip else []):
+            if k:
+                shapes[f"{name}.dw"] = (c_in, k)
+            shapes[f"{name}.pw_w"] = (c_out, c_in)
+            shapes[f"{name}.pw_b"] = (c_out,)
+            shapes[f"{name}.bn.gamma"] = (c_out,)
+            shapes[f"{name}.bn.beta"] = (c_out,)
     return shapes
 
 
@@ -139,50 +143,25 @@ def build_encoder(cfg: EncoderConfig, seed: int, dtype=np.float32):
     return params, state
 
 
-def _bn_apply(x, params, state, prefix, mode, mask=None):
-    return batch_norm_1d(x, params[f"{prefix}.gamma"], params[f"{prefix}.beta"],
-                         state[f"{prefix}.mean"], state[f"{prefix}.var"], mode, mask=mask)
+def _conv_bn(x, params, state, layer, mode, mask):
+    """[depthwise k ->] pointwise -> batch norm; returns (out, cache)."""
+    name, _, _, k = layer
+    y_dw = conv1d_depthwise(x, params[f"{name}.dw"]) if k else x
+    y_pw = conv1d_pointwise(y_dw, params[f"{name}.pw_w"], params[f"{name}.pw_b"])
+    out, bn_cache = batch_norm_1d(y_pw, params[f"{name}.bn.gamma"], params[f"{name}.bn.beta"],
+                                  state[f"{name}.bn.mean"], state[f"{name}.bn.var"], mode, mask=mask)
+    return out, (layer, x, y_dw, bn_cache)
 
 
-def _valid_mask(n: int, t: int, valid_lens, dtype):
-    if valid_lens is None:
-        return None
-    mask = np.zeros((n, 1, t), dtype=dtype)
-    for i, v in enumerate(valid_lens):
-        mask[i, 0, :v] = 1.0
-    return mask
-
-
-def _sep_forward(x, params, state, prefix, mode, rng, drop_p, mask, residual=None):
-    """One separable sub-block; residual (if given) joins before the ReLU."""
-    y_dw = conv1d_depthwise(x, params[f"{prefix}.dw"])
-    y_pw = conv1d_pointwise(y_dw, params[f"{prefix}.pw_w"], params[f"{prefix}.pw_b"])
-    y_bn, bn_cache = _bn_apply(y_pw, params, state, f"{prefix}.bn", mode, mask=mask)
-    pre = y_bn if residual is None else y_bn + residual
-    y = relu(pre)
-    y, drop_mask = dropout(y, drop_p, rng, mode)
-    if mask is not None:
-        y = y * mask
-    cache = (prefix, x, y_dw, pre, bn_cache, drop_mask, residual is not None)
-    return y, cache
-
-
-def _sep_backward(grad, cache, params, grads, mask):
-    prefix, x, y_dw, pre, bn_cache, drop_mask, had_residual = cache
-    if mask is not None:
-        grad = grad * mask
-    grad = dropout_backward(grad, drop_mask)
-    grad = relu_backward(grad, pre)
-    grad_res = grad if had_residual else None
-    grad, g_gamma, g_beta = batch_norm_1d_backward(grad, bn_cache)
-    grads[f"{prefix}.bn.gamma"] = g_gamma
-    grads[f"{prefix}.bn.beta"] = g_beta
-    grad, g_w, g_b = conv1d_pointwise_backward(grad, y_dw, params[f"{prefix}.pw_w"])
-    grads[f"{prefix}.pw_w"] = g_w
-    grads[f"{prefix}.pw_b"] = g_b
-    grad, g_k = conv1d_depthwise_backward(grad, x, params[f"{prefix}.dw"])
-    grads[f"{prefix}.dw"] = g_k
-    return grad, grad_res
+def _conv_bn_backward(grad, cache, params, grads):
+    """Adjoint of _conv_bn: fills the layer's parameter gradients, returns grad wrt x."""
+    (name, _, _, k), x, y_dw, bn_cache = cache
+    grad, grads[f"{name}.bn.gamma"], grads[f"{name}.bn.beta"] = batch_norm_1d_backward(grad, bn_cache)
+    grad, grads[f"{name}.pw_w"], grads[f"{name}.pw_b"] = conv1d_pointwise_backward(
+        grad, y_dw, params[f"{name}.pw_w"])
+    if k:
+        grad, grads[f"{name}.dw"] = conv1d_depthwise_backward(grad, x, params[f"{name}.dw"])
+    return grad
 
 
 def encoder_forward(
@@ -196,92 +175,51 @@ def encoder_forward(
 ):
     """x: (N, input_dim, T) -> (N, out_channels, T), plus cache for backward.
 
-    Frames at t >= valid_lens[i] are zeroed after every sub-block so that
+    Frames at t >= valid_lens[i] are zeroed after every layer so that
     padding cannot leak into valid positions through the convolutions.
     """
     if x.ndim != 3 or x.shape[1] != cfg.input_dim:
         raise ShapeError(f"expected (N, {cfg.input_dim}, T) input, got {x.shape}")
     if mode == "train" and rng is None:
         rng = np.random.default_rng(0)
-    n, _, t = x.shape
-    mask = _valid_mask(n, t, valid_lens, x.dtype)
-    if mask is not None:
+    mask = None
+    if valid_lens is not None:
+        mask = (np.arange(x.shape[2]) < np.asarray(valid_lens)[:, None, None]).astype(x.dtype)
         x = x * mask
 
+    h = x
     caches = []
-    h, c = _sep_forward(x, params, state, "prologue", mode, rng, cfg.dropout_rate, mask)
-    caches.append(("sep", c))
-
-    for b in range(cfg.num_blocks):
-        block_in = h
-        # skip projection: 1x1 conv + batch norm on the block input
-        res = conv1d_pointwise(block_in, params[f"block{b}.res.pw_w"], params[f"block{b}.res.pw_b"])
-        res, res_bn_cache = _bn_apply(res, params, state, f"block{b}.res.bn", mode, mask=mask)
-        for r in range(cfg.sub_blocks):
-            last = r == cfg.sub_blocks - 1
-            h, c = _sep_forward(
-                h,
-                params,
-                state,
-                f"block{b}.sub{r}",
-                mode,
-                rng,
-                cfg.dropout_rate,
-                mask,
-                residual=res if last else None,
-            )
-            caches.append(("sep", c))
-        caches.append(("res", (b, block_in, res_bn_cache)))
-
-    y_pw = conv1d_pointwise(h, params["epilogue.pw_w"], params["epilogue.pw_b"])
-    y_bn, epi_bn_cache = _bn_apply(y_pw, params, state, "epilogue.bn", mode, mask=mask)
-    out = relu(y_bn)
-    if mask is not None:
-        out = out * mask
-    caches.append(("epilogue", (h, y_bn, epi_bn_cache)))
-    return out, (caches, mask, cfg)
+    for layers, skip, drop in encoder_blocks(cfg):
+        skip_out, skip_cache = _conv_bn(h, params, state, skip, mode, mask) if skip else (None, None)
+        layer_caches = []
+        for i, layer in enumerate(layers):
+            pre, conv_cache = _conv_bn(h, params, state, layer, mode, mask)
+            if skip_out is not None and i == len(layers) - 1:
+                pre = pre + skip_out
+            h, drop_mask = dropout(relu(pre), cfg.dropout_rate if drop else 0.0, rng, mode)
+            if mask is not None:
+                h = h * mask
+            layer_caches.append((conv_cache, pre, drop_mask))
+        caches.append((layer_caches, skip_cache))
+    return h, (caches, mask)
 
 
 def encoder_backward(params: dict[str, np.ndarray], cache, grad_out: np.ndarray):
     """Exact adjoint of encoder_forward; returns (grad_input, grads dict)."""
-    caches, mask, cfg = cache
+    caches, mask = cache
     grads: dict[str, np.ndarray] = {}
-
-    kind, (h_in, y_bn, epi_bn_cache) = caches[-1]
-    assert kind == "epilogue"
-    grad = grad_out * mask if mask is not None else grad_out
-    grad = relu_backward(grad, y_bn)
-    grad, g_gamma, g_beta = batch_norm_1d_backward(grad, epi_bn_cache)
-    grads["epilogue.bn.gamma"] = g_gamma
-    grads["epilogue.bn.beta"] = g_beta
-    grad, g_w, g_b = conv1d_pointwise_backward(grad, h_in, params["epilogue.pw_w"])
-    grads["epilogue.pw_w"] = g_w
-    grads["epilogue.pw_b"] = g_b
-
-    idx = len(caches) - 2
-    for b in reversed(range(cfg.num_blocks)):
-        kind, (bb, block_in, res_bn_cache) = caches[idx]
-        assert kind == "res" and bb == b
-        idx -= 1
-        grad_res_out = None
-        for r in reversed(range(cfg.sub_blocks)):
-            kind, c = caches[idx]
-            idx -= 1
-            grad, g_res = _sep_backward(grad, c, params, grads, mask)
-            if g_res is not None:
-                grad_res_out = g_res
-        # skip-path adjoint: batch norm then 1x1 conv on the block input
-        g_res, g_gamma, g_beta = batch_norm_1d_backward(grad_res_out, res_bn_cache)
-        grads[f"block{b}.res.bn.gamma"] = g_gamma
-        grads[f"block{b}.res.bn.beta"] = g_beta
-        g_res, g_w, g_b = conv1d_pointwise_backward(g_res, block_in, params[f"block{b}.res.pw_w"])
-        grads[f"block{b}.res.pw_w"] = g_w
-        grads[f"block{b}.res.pw_b"] = g_b
-        grad = grad + g_res
-
-    kind, c = caches[idx]
-    assert kind == "sep" and c[0] == "prologue"
-    grad, _ = _sep_backward(grad, c, params, grads, mask)
+    grad = grad_out
+    for layer_caches, skip_cache in reversed(caches):
+        grad_skip = None
+        for conv_cache, pre, drop_mask in reversed(layer_caches):
+            if mask is not None:
+                grad = grad * mask
+            grad = relu_backward(dropout_backward(grad, drop_mask), pre)
+            if grad_skip is None:  # the last layer comes first: its pre-ReLU grad feeds the skip
+                grad_skip = grad
+            grad = _conv_bn_backward(grad, conv_cache, params, grads)
+        if skip_cache is not None:
+            grad = grad + _conv_bn_backward(grad_skip, skip_cache, params, grads)
     if mask is not None:
         grad = grad * mask
     return grad, grads

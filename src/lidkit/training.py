@@ -156,7 +156,6 @@ class TrainResult:
     best_val: float
     best_params: dict[str, np.ndarray]
     best_state: dict[str, np.ndarray]
-    stopped_epoch: int
 
 
 Dataset = list[tuple[FeatureMap, int]]
@@ -208,14 +207,13 @@ def train(
     best_params = {k: v.copy() for k, v in model.params.items()}
     best_state = {k: v.copy() for k, v in model.state.items()}
     epochs_since_best = 0
-    stopped = cfg.epochs - 1
 
     for epoch in range(start_epoch, cfg.epochs):
         order_rng = np.random.default_rng([cfg.seed, 1, epoch])
         batches = _epoch_batches(train_data, cfg.batch_size, order_rng)
         epoch_loss = 0.0
-        lr = cosine_lr(min(model.step, total_steps), total_steps, cfg.lr_max, cfg.lr_min)
         for bi, batch_idx in enumerate(batches):
+            lr = cosine_lr(min(model.step, total_steps), total_steps, cfg.lr_max, cfg.lr_min)
             step_rng = np.random.default_rng([cfg.seed, 2, epoch, bi])
             maps = []
             targets = []
@@ -228,7 +226,6 @@ def train(
             x, valid = batch_from_features(maps)
             _, loss, cache = model_forward(model, x, valid, targets=targets, mode="train", rng=step_rng)
             grads = model_backward(model, cache)
-            lr = cosine_lr(min(model.step, total_steps), total_steps, cfg.lr_max, cfg.lr_min)
             sgd_step(model.params, grads, lr)
             model.step += 1
             epoch_loss += loss
@@ -252,14 +249,6 @@ def train(
         if checkpoint_path is not None:
             save_checkpoint(model, checkpoint_path)
         if epochs_since_best > cfg.patience:
-            stopped = epoch
             break
-        stopped = epoch
 
-    return TrainResult(
-        history=history,
-        best_val=best_val,
-        best_params=best_params,
-        best_state=best_state,
-        stopped_epoch=stopped,
-    )
+    return TrainResult(history=history, best_val=best_val, best_params=best_params, best_state=best_state)

@@ -203,6 +203,22 @@ class TestPredict:
         assert abs(sum(rec["posterior"].values()) - 1.0) <= 1e-5
 
 
+    def test_manifest_with_garbage_wav_fails_fast(self, tmp_path, corpus_dir, trained_dir,
+                                                  tiny_config, capsys):
+        _, _, records = corpus_dir
+        garbage = tmp_path / "garbage.wav"
+        garbage.write_bytes(b"not a wav file at all")
+        manifest = tmp_path / "mixed.jsonl"
+        rows = [records[0], {"audio_filepath": str(garbage), "label": "band0"}]
+        manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        rc = main(["predict", "--checkpoint", str(trained_dir / "checkpoint.lidk"),
+                   "--manifest", str(manifest), "--config", str(tiny_config)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {garbage}: ")
+
+
 class TestGradcheck:
     def test_passes_with_exit_zero(self, capsys):
         assert main(["gradcheck", "--seed", "1"]) == 0
@@ -224,8 +240,19 @@ class TestRunConfig:
         json.dumps({"encoder": {"channels": [8], "kernel_sizes": [4]}}),
         json.dumps({"features": {"n_mels": 0}}),
         json.dumps({"augment": {"n_time_masks": -1}}),
+        json.dumps({"trian": {"epochs": 1}}),
+        json.dumps({"d_att": 0}),
+        json.dumps({"d_att": -3}),
+        json.dumps({"d_att": 2.5}),
+        json.dumps({"seed": "x"}),
+        json.dumps({"train": {"epochs": 2.5}}),
+        json.dumps({"train": {"patience": "3"}}),
+        json.dumps({"encoder": {"channels": [4.5], "kernel_sizes": [3]}}),
+        json.dumps({"encoder": {"channels": [4], "kernel_sizes": [3], "sub_blocks": 1.5}}),
     ], ids=["missing_file", "bad_json", "not_an_object", "unknown_key", "lr_order", "even_kernel",
-            "zero_mels", "negative_mask_count"])
+            "zero_mels", "negative_mask_count", "unknown_section", "zero_d_att", "negative_d_att",
+            "float_d_att", "string_seed", "float_epochs", "string_patience", "float_channels",
+            "float_sub_blocks"])
     def test_bad_config_exits_2_with_message(self, tmp_path, corpus_dir, text, capsys):
         _, manifest, _ = corpus_dir
         config = tmp_path / "run.json"

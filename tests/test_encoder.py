@@ -75,6 +75,25 @@ class TestBuild:
         total = sum(v.size for v in params.values())
         assert total == 47 + 40 + 28 + 42
 
+    def test_param_order_pinned(self):
+        # the order fixes the He-init draws and the checkpoint's tensor order
+        cfg = tiny_cfg(channels=(4, 3))
+
+        def layer(name, c_in, c_out, k=0):
+            dw = [(f"{name}.dw", (c_in, k))] if k else []
+            return dw + [(f"{name}.pw_w", (c_out, c_in)), (f"{name}.pw_b", (c_out,)),
+                         (f"{name}.bn.gamma", (c_out,)), (f"{name}.bn.beta", (c_out,))]
+
+        expected = [
+            ("prologue.dw", (5, 3)), ("prologue.pw_w", (4, 5)), ("prologue.pw_b", (4,)),
+            ("prologue.bn.gamma", (4,)), ("prologue.bn.beta", (4,)),
+            *layer("block0.sub0", 4, 4, 3), *layer("block0.sub1", 4, 4, 3), *layer("block0.res", 4, 4),
+            *layer("block1.sub0", 4, 3, 5), *layer("block1.sub1", 3, 3, 5), *layer("block1.res", 4, 3),
+            ("epilogue.pw_w", (6, 3)), ("epilogue.pw_b", (6,)),
+            ("epilogue.bn.gamma", (6,)), ("epilogue.bn.beta", (6,)),
+        ]
+        assert list(encoder_param_shapes(cfg).items()) == expected
+
     def test_shapes_derivable_from_config_alone(self):
         cfg = tiny_cfg()
         shapes = encoder_param_shapes(cfg)
@@ -139,6 +158,30 @@ class TestForward:
         h = T.conv1d_pointwise(h, params["epilogue.pw_w"], params["epilogue.pw_b"])
         expected = T.relu(bn_eval(h, "epilogue.bn"))
         assert np.max(np.abs(out - expected)) <= 1e-10
+
+
+class TestMask:
+    def test_padding_is_neutral_in_train_mode(self):
+        cfg = tiny_cfg(dropout_rate=0.1)
+        t = 9
+        valid = [t, t - 3, 1]
+        x = np.random.default_rng(4).standard_normal((3, 5, t))
+        probe = np.random.default_rng(5).standard_normal((3, cfg.out_channels, t))
+        pad = np.arange(t)[None, None, :] >= np.array(valid)[:, None, None]
+
+        runs = []
+        for fill in (0.0, 1e3):
+            params, state = build_encoder(cfg, seed=6, dtype=np.float64)
+            xf = np.where(pad, fill, x)
+            out, cache = encoder_forward(cfg, params, state, xf, mode="train",
+                                         rng=np.random.default_rng(7), valid_lens=valid)
+            grad_x, grads = encoder_backward(params, cache, probe)
+            assert np.all(out[np.broadcast_to(pad, out.shape)] == 0)
+            assert np.all(grad_x[np.broadcast_to(pad, grad_x.shape)] == 0)
+            runs.append((out, grads))
+        (out0, grads0), (out1, grads1) = runs
+        assert out0.tobytes() == out1.tobytes()
+        assert all(grads0[k].tobytes() == grads1[k].tobytes() for k in grads0)
 
 
 class TestBackward:
