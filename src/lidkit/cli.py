@@ -16,7 +16,7 @@ from lidkit.augment import AugmentConfig
 from lidkit.audio import WavError, decode_wav
 from lidkit.diagnostics import run_all_checks
 from lidkit.encoder import EncoderConfig
-from lidkit.evaluation import Taxonomy, confusion, load_taxonomy, rollup, top1_accuracy
+from lidkit.evaluation import EvaluationError, Taxonomy, confusion, load_taxonomy, rollup, top1_accuracy
 from lidkit.features import FeatureConfig, FeatureError, compute_mfsc
 from lidkit.model import D_ATT_DEFAULT, build_model, predict
 from lidkit.tensor_ops import ShapeError
@@ -24,6 +24,7 @@ from lidkit.training import (
     CheckpointError,
     TrainConfig,
     TrainError,
+    is_int,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -47,10 +48,6 @@ def atomic_write_text(path: Path, text: str) -> None:
 _SECTIONS = {"features": FeatureConfig, "encoder": EncoderConfig, "augment": AugmentConfig, "train": TrainConfig}
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def load_run_config(path: str | Path | None) -> dict:
     """Read and validate a run config; an unreadable or invalid one raises CliError.
 
@@ -63,26 +60,25 @@ def load_run_config(path: str | Path | None) -> dict:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(doc, dict):
                 raise CliError(f"run config {path}: expected a JSON object")
-        unknown = sorted(set(doc) - set(_SECTIONS) - {"d_att", "seed"})
+        unknown = sorted(set(doc) - set(_SECTIONS) - {"d_att"})
         if unknown:
             raise CliError(f"run config {path}: unknown keys {unknown}")
-        d_att, seed = doc.get("d_att", D_ATT_DEFAULT), doc.get("seed", 0)
-        if not _is_int(d_att) or d_att < 1:
+        d_att = doc.get("d_att", D_ATT_DEFAULT)
+        if not is_int(d_att) or d_att < 1:
             raise CliError(f"run config {path}: d_att must be an integer >= 1, got {d_att!r}")
-        if not _is_int(seed):
-            raise CliError(f"run config {path}: seed must be an integer, got {seed!r}")
         cfg = {name: cls(**doc.get(name, {})) for name, cls in _SECTIONS.items() if name != "encoder"}
         cfg["encoder"] = EncoderConfig(**doc["encoder"]) if "encoder" in doc else EncoderConfig.tiny()
         for section, obj in cfg.items():
             for field in dataclasses.fields(obj):  # "int", "int | None" or "tuple[int, ...]"
                 kind, value = str(field.type), getattr(obj, field.name)
-                ok = all(map(_is_int, value if isinstance(value, tuple) else (value,)))
+                ok = all(map(is_int, value if isinstance(value, tuple) else (value,)))
                 if "int" in kind and not ok and not (value is None and "None" in kind):
                     raise CliError(f"run config {path}: {section}.{field.name} must be an integer, got {value!r}")
-    except (OSError, ValueError, TypeError, FeatureError, ShapeError, TrainError) as exc:
-        # ValueError covers malformed JSON and AugmentConfig; TypeError, unknown or missing keys
+    except (OSError, ValueError, TypeError, OverflowError, FeatureError, ShapeError, TrainError) as exc:
+        # ValueError covers malformed JSON and AugmentConfig; TypeError, unknown or missing keys;
+        # OverflowError, an infinite frame length or hop
         raise CliError(f"run config {path}: {exc}") from exc
-    return {**cfg, "d_att": d_att, "seed": seed}
+    return {**cfg, "d_att": d_att}
 
 
 # ---------------------------------------------------------------------------
@@ -90,17 +86,24 @@ def load_run_config(path: str | Path | None) -> dict:
 
 
 def load_manifest(path: str | Path) -> list[dict]:
+    """Each record is an object with a string ``audio_filepath`` and a non-empty string ``label``."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from exc
     records = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise CliError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if "audio_filepath" not in rec or "label" not in rec:
+        if not isinstance(rec, dict) or "audio_filepath" not in rec or "label" not in rec:
             raise CliError(f"{path}:{lineno}: record needs audio_filepath and label")
+        if not isinstance(rec["audio_filepath"], str) or not isinstance(rec["label"], str):
+            raise CliError(f"{path}:{lineno}: audio_filepath and label must be strings")
         if not rec["label"]:
             raise CliError(f"{path}:{lineno}: empty label")
         records.append(rec)
@@ -143,8 +146,7 @@ def cmd_featurize(args) -> int:
     cfg = load_run_config(args.config)
     records = load_manifest(args.manifest)
     if not records:
-        print("error: empty manifest", file=sys.stderr)
-        return 2
+        raise CliError("empty manifest")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data, failures = featurize_records(records, cfg["features"])
@@ -159,12 +161,11 @@ def cmd_featurize(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    tcfg = dataclasses.replace(cfg["train"], seed=seed)
+    tcfg = cfg["train"] if args.seed is None else dataclasses.replace(cfg["train"], seed=args.seed)
 
     if args.split is not None:
         records = load_manifest(args.manifest)
-        train_recs, val_recs = split_manifest(records, args.split, seed)
+        train_recs, val_recs = split_manifest(records, args.split, tcfg.seed)
     else:
         train_recs = load_manifest(args.train_manifest)
         val_recs = load_manifest(args.val_manifest)
@@ -172,11 +173,7 @@ def cmd_train(args) -> int:
     train_labels = sorted({r["label"] for r in train_recs})
     val_labels = {r["label"] for r in val_recs}
     if not val_labels <= set(train_labels):
-        print(
-            f"error: validation labels not in training set: {sorted(val_labels - set(train_labels))}",
-            file=sys.stderr,
-        )
-        return 2
+        raise CliError(f"validation labels not in training set: {sorted(val_labels - set(train_labels))}")
 
     label_idx = {lab: i for i, lab in enumerate(train_labels)}
     train_data, train_fail = featurize_records(train_recs, cfg["features"])
@@ -184,20 +181,15 @@ def cmd_train(args) -> int:
     if train_fail or val_fail:
         print(f"warning: skipped {len(train_fail) + len(val_fail)} unreadable clips", file=sys.stderr)
     if not train_data or not val_data:
-        print("error: no usable utterances after featurization", file=sys.stderr)
-        return 2
+        raise CliError("no usable utterances after featurization")
     train_set = [(fm, label_idx[lab]) for fm, lab in train_data]
     val_set = [(fm, label_idx[lab]) for fm, lab in val_data]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model = build_model(cfg["encoder"], train_labels, seed, d_att=cfg["d_att"])
+    model = build_model(cfg["encoder"], train_labels, tcfg.seed, d_att=cfg["d_att"])
     aug = cfg["augment"] if cfg["augment"].enabled else None
-    try:
-        result = train(model, train_set, val_set, tcfg, aug=aug)
-    except TrainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = train(model, train_set, val_set, tcfg, aug=aug)
 
     model.params = result.best_params
     model.state = result.best_state
@@ -229,21 +221,15 @@ def build_report(predictions: list[str], labels: list[str], taxonomy: Taxonomy, 
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        model = load_checkpoint(args.checkpoint)
-    except (OSError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = load_checkpoint(args.checkpoint)
     taxonomy = load_taxonomy(args.taxonomy)
     cfg = load_run_config(args.config)
     records = load_manifest(args.manifest)
     if not records:
-        print("error: empty manifest", file=sys.stderr)
-        return 2
+        raise CliError("empty manifest")
     data, failures = featurize_records(records, cfg["features"])
     if not data:
-        print("error: no usable utterances", file=sys.stderr)
-        return 2
+        raise CliError("no usable utterances")
     labels = [lab for _, lab in data]
     predictions = [predict(model, fm)[0] for fm, _ in data]
 
@@ -262,11 +248,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    try:
-        model = load_checkpoint(args.checkpoint)
-    except (OSError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = load_checkpoint(args.checkpoint)
     cfg = load_run_config(args.config)
     if args.wav:
         records = [{"audio_filepath": args.wav, "label": None}]
@@ -274,8 +256,7 @@ def cmd_predict(args) -> int:
         records = load_manifest(args.manifest)
     data, failures = featurize_records(records, cfg["features"])
     if failures:  # fail fast: one bad clip and nothing is printed
-        print(f"error: {failures[0]['audio_filepath']}: {failures[0]['error']}", file=sys.stderr)
-        return 2
+        raise CliError(f"{failures[0]['audio_filepath']}: {failures[0]['error']}")
 
     outputs = []
     for fm, _ in data:
@@ -296,7 +277,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_all_checks(seed=args.seed or 0, corrupt=args.corrupt)
+    results = run_all_checks(seed=args.seed, corrupt=args.corrupt)
     ok = True
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -322,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-manifest")
     p.add_argument("--val-manifest")
     p.add_argument("--split", type=float, default=None, help="train fraction, e.g. 0.8")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="overrides train.seed of the run config")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -343,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every layer")
-    p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
@@ -351,19 +331,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; any typed input error ends here as one ``error:`` line and exit 2."""
     args = build_parser().parse_args(argv)
-    if args.command == "train" and args.split is None and not (args.train_manifest and args.val_manifest):
-        print("error: provide --train-manifest/--val-manifest or --manifest with --split", file=sys.stderr)
-        return 2
-    if args.command == "train" and args.split is not None and not args.manifest:
-        print("error: --split requires --manifest", file=sys.stderr)
-        return 2
-    if args.command == "predict" and not (args.wav or args.manifest):
-        print("error: provide --wav or --manifest", file=sys.stderr)
-        return 2
     try:
+        if args.command == "train" and args.split is None and not (args.train_manifest and args.val_manifest):
+            raise CliError("provide --train-manifest/--val-manifest or --manifest with --split")
+        if args.command == "train" and args.split is not None and not args.manifest:
+            raise CliError("--split requires --manifest")
+        if args.command == "train" and args.split is not None and not 0 < args.split < 1:
+            raise CliError(f"--split must lie strictly between 0 and 1, got {args.split}")
+        if args.command == "predict" and not (args.wav or args.manifest):
+            raise CliError("provide --wav or --manifest")
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError, WavError, FeatureError, ShapeError, TrainError, CheckpointError,
+            EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

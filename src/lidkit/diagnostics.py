@@ -220,13 +220,10 @@ def _composite_loss_and_grads(cfg: EncoderConfig, d_att: int, n_classes: int, x6
     return loss, grads, inputs
 
 
-def check_composite(
-    rng: np.random.Generator, corrupt: bool = False, cfg: EncoderConfig | None = None
-) -> CheckResult:
+def check_composite(rng: np.random.Generator, corrupt: bool = False) -> CheckResult:
     """Tiny encoder + SAP + cross-entropy, end to end."""
-    if cfg is None:
-        cfg = EncoderConfig(channels=(4, 4, 4), kernel_sizes=(3, 3, 5), sub_blocks=2,
-                            input_dim=5, out_channels=6, dropout_rate=0.0)
+    cfg = EncoderConfig(channels=(4, 4, 4), kernel_sizes=(3, 3, 5), sub_blocks=2,
+                        input_dim=5, out_channels=6, dropout_rate=0.0)
     d_att, n_classes, n, t = 3, 3, 2, 4
     enc_params, _ = build_encoder(cfg, seed=int(rng.integers(0, 2**31)), dtype=np.float64)
     params64 = {f"enc.{k}": v for k, v in enc_params.items()}

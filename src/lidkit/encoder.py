@@ -52,6 +52,8 @@ class EncoderConfig:
         object.__setattr__(self, "kernel_sizes", tuple(self.kernel_sizes))
         if len(self.channels) != len(self.kernel_sizes):
             raise ShapeError("channels and kernel_sizes must have the same length")
+        if not self.channels or min(self.channels) < 1:
+            raise ShapeError("need at least one block, and every channel count >= 1")
         if any(k % 2 == 0 or k < 1 for k in self.kernel_sizes):
             raise ShapeError("all kernel sizes must be odd")
         if self.sub_blocks < 1 or self.input_dim < 1 or self.out_channels < 1:

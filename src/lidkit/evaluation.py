@@ -50,8 +50,12 @@ class Taxonomy:
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
     """One line per language: ``language<TAB>genus<TAB>family``; # comments."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise EvaluationError(f"{path}: not UTF-8 text: {exc}") from exc
     entries = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -26,6 +26,8 @@ class FeatureConfig:
     log_floor: float = 1e-10
 
     def __post_init__(self):
+        if self.win_samples < 1 or self.hop_samples < 1:
+            raise FeatureError("frame_length and frame_hop must each span at least one sample")
         if self.fft_size & (self.fft_size - 1):
             raise FeatureError("fft_size must be a power of two")
         if self.fft_size < int(round(self.frame_length * self.sample_rate)):

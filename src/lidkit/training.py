@@ -20,6 +20,7 @@ from lidkit.augment import AugmentConfig, apply_specaugment
 from lidkit.encoder import EncoderConfig
 from lidkit.features import FeatureMap
 from lidkit.model import Model, batch_from_features, model_backward, model_forward, predict
+from lidkit.tensor_ops import ShapeError
 
 CHECKPOINT_MAGIC = b"LIDK"
 CHECKPOINT_VERSION = 1
@@ -37,6 +38,10 @@ class CheckpointError(Exception):
     pass
 
 
+def is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
@@ -48,6 +53,8 @@ class TrainConfig:
     total_steps: int | None = None  # default: epochs * steps_per_epoch
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise TrainError("epochs must be >= 1")
         if not (0 < self.lr_min < self.lr_max):
             raise TrainError("need 0 < lr_min < lr_max")
         if self.batch_size < 2:
@@ -115,35 +122,35 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(data[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
-
-    cfg = EncoderConfig(**header["encoder"])
+        cfg = EncoderConfig(**header["encoder"])
+        d_att, labels, step = header["d_att"], header["labels"], header["step"]
+        tensors = [(t["name"], tuple(t["shape"]), t["kind"]) for t in header["tensors"]]
+        if not (is_int(d_att) and is_int(step) and isinstance(labels, list)
+                and all(isinstance(lab, str) for lab in labels)):
+            raise TypeError("d_att and step must be integers and labels a list of strings")
+        for name, shape, kind in tensors:
+            if not (isinstance(name, str) and kind in ("param", "state")
+                    and all(is_int(n) and n >= 0 for n in shape)):
+                raise ValueError(f"bad tensor entry {name!r}: {kind!r} of shape {shape!r}")
+    except (KeyError, TypeError, ValueError, OverflowError, ShapeError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise CheckpointError(f"{path}: corrupt header: {exc!r}") from exc
     if expect_encoder is not None and cfg != expect_encoder:
         raise CheckpointError(f"{path}: checkpoint encoder config does not match the expected config")
 
     blob = data[16 + header_len :]
-    expected = sum(int(np.prod(t["shape"])) for t in header["tensors"]) * 4
+    expected = sum(math.prod(shape) for _, shape, _ in tensors) * 4
     if len(blob) != expected:
         raise CheckpointError(f"{path}: blob section holds {len(blob)} bytes, header declares {expected}")
 
     params: dict[str, np.ndarray] = {}
     state: dict[str, np.ndarray] = {}
     offset = 0
-    for t in header["tensors"]:
-        shape = tuple(t["shape"])
-        count = int(np.prod(shape))
+    for name, shape, kind in tensors:
+        count = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
         offset += count * 4
-        (params if t["kind"] == "param" else state)[t["name"]] = arr
-    return Model(
-        encoder_cfg=cfg,
-        d_att=header["d_att"],
-        labels=list(header["labels"]),
-        params=params,
-        state=state,
-        step=header["step"],
-    )
+        (params if kind == "param" else state)[name] = arr
+    return Model(encoder_cfg=cfg, d_att=d_att, labels=labels, params=params, state=state, step=step)
 
 
 # ---------------------------------------------------------------------------

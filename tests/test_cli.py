@@ -1,9 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from lidkit.cli import build_report, load_manifest, main, split_manifest
+from lidkit.cli import CliError, build_report, load_manifest, main, split_manifest
 from lidkit.diagnostics import ALL_CHECKS
 from lidkit.evaluation import load_taxonomy
 from lidkit.synthetic import make_corpus, write_corpus_wavs
@@ -122,6 +123,19 @@ class TestTrain:
     def test_missing_manifest_args(self, tmp_path):
         assert main(["train", "--out", str(tmp_path)]) == 2
 
+    def test_train_seed_is_the_run_seed(self, tmp_path, corpus_dir, tiny_config):
+        _, manifest, _ = corpus_dir
+        seeded = tmp_path / "seeded.json"
+        doc = json.loads(tiny_config.read_text())
+        doc["train"]["seed"] = 5
+        seeded.write_text(json.dumps(doc))
+        runs = [(seeded, []), (tiny_config, ["--seed", "5"])]
+        for name, (config, extra) in zip("ab", runs):
+            assert main(["train", "--config", str(config), "--manifest", str(manifest),
+                         "--split", "0.75", "--out", str(tmp_path / name)] + extra) == 0
+        for file in ("checkpoint.lidk", "history.csv"):
+            assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
+
 
 class TestEvaluate:
     def taxonomy(self, tmp_path):
@@ -229,6 +243,11 @@ class TestGradcheck:
         assert main(["gradcheck", "--seed", "1", "--corrupt"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_config_option_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--config", "run.json"])
+        assert exc.value.code == 2
+
 
 class TestRunConfig:
     @pytest.mark.parametrize("text", [
@@ -249,10 +268,14 @@ class TestRunConfig:
         json.dumps({"train": {"patience": "3"}}),
         json.dumps({"encoder": {"channels": [4.5], "kernel_sizes": [3]}}),
         json.dumps({"encoder": {"channels": [4], "kernel_sizes": [3], "sub_blocks": 1.5}}),
+        json.dumps({"encoder": {"channels": [], "kernel_sizes": []}}),
+        json.dumps({"encoder": {"channels": [0], "kernel_sizes": [3]}}),
+        json.dumps({"features": {"frame_hop": 0.0}}),
+        json.dumps({"train": {"epochs": 0}}),
     ], ids=["missing_file", "bad_json", "not_an_object", "unknown_key", "lr_order", "even_kernel",
             "zero_mels", "negative_mask_count", "unknown_section", "zero_d_att", "negative_d_att",
             "float_d_att", "string_seed", "float_epochs", "string_patience", "float_channels",
-            "float_sub_blocks"])
+            "float_sub_blocks", "empty_channels", "zero_channels", "zero_frame_hop", "zero_epochs"])
     def test_bad_config_exits_2_with_message(self, tmp_path, corpus_dir, text, capsys):
         _, manifest, _ = corpus_dir
         config = tmp_path / "run.json"
@@ -282,3 +305,61 @@ class TestManifest:
         path.write_text(json.dumps({"audio_filepath": "x.wav", "label": ""}) + "\n")
         with pytest.raises(Exception, match="empty label"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("line", [
+        "5", "null", "true", "1.5", '"clip.wav"', "[]",
+        json.dumps({"audio_filepath": "x.wav", "label": ["a"]}),
+        json.dumps({"audio_filepath": "x.wav", "label": 3}),
+        json.dumps({"audio_filepath": None, "label": "a"}),
+    ], ids=["int", "null", "bool", "float", "string", "list", "list_label", "int_label", "null_path"])
+    def test_non_record_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"audio_filepath": "ok.wav", "label": "a"}) + "\n" + line + "\n")
+        with pytest.raises(CliError, match=f"^{path}:2: "):
+            load_manifest(path)
+
+
+def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
+    """argv of each bad invocation; every one must end in exit 2 and one error: line."""
+    _, manifest, records = corpus_dir
+    missing, wav = str(tmp_path / "missing.jsonl"), records[0]["audio_filepath"]
+    checkpoint = trained_dir / "checkpoint.lidk"
+    taxonomy = tmp_path / "tax.tsv"
+    taxonomy.write_text("band0\tlow\tsynthetic\nband1\tmid\tsynthetic\n")  # no band2
+    mels = tmp_path / "mels.json"
+    mels.write_text(json.dumps({"features": {"n_mels": 32}}))  # the checkpoint's encoder takes 40
+    raw = checkpoint.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16 : 16 + header_len])
+    del header["labels"]
+    header_bytes = json.dumps(header).encode("utf-8")
+    corrupt = tmp_path / "corrupt.lidk"
+    corrupt.write_bytes(raw[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + raw[16 + header_len :])
+    evaluate = ["evaluate", "--checkpoint", str(checkpoint), "--config", str(tiny_config),
+                "--out", str(tmp_path / "eval")]
+    return {
+        "train_missing_manifest": ["train", "--manifest", missing, "--split", "0.75", "--out", str(tmp_path / "o")],
+        "evaluate_missing_manifest": evaluate + ["--manifest", missing, "--taxonomy", str(taxonomy)],
+        "featurize_missing_manifest": ["featurize", "--manifest", missing, "--out", str(tmp_path / "o")],
+        "missing_taxonomy": evaluate + ["--manifest", str(manifest), "--taxonomy", str(tmp_path / "no.tsv")],
+        "taxonomy_without_trained_label": evaluate + ["--manifest", str(manifest), "--taxonomy", str(taxonomy)],
+        "predict_other_n_mels": ["predict", "--checkpoint", str(checkpoint), "--wav", wav, "--config", str(mels)],
+        "checkpoint_without_labels": ["predict", "--checkpoint", str(corrupt), "--wav", wav,
+                                      "--config", str(tiny_config)],
+        # a negative fraction would train on a slice counted from the end
+        "negative_split": ["train", "--manifest", str(manifest), "--split", "-0.5", "--out", str(tmp_path / "o")],
+    }
+
+
+class TestErrors:
+    @pytest.mark.parametrize("case", [
+        "train_missing_manifest", "evaluate_missing_manifest", "featurize_missing_manifest",
+        "missing_taxonomy", "taxonomy_without_trained_label", "predict_other_n_mels",
+        "checkpoint_without_labels", "negative_split",
+    ])
+    def test_exits_2_with_one_error_line(self, case, tmp_path, corpus_dir, trained_dir, tiny_config, capsys):
+        argv = _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config)[case]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
