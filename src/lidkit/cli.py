@@ -86,7 +86,7 @@ def load_run_config(path: str | Path | None) -> dict:
 
 
 def load_manifest(path: str | Path) -> list[dict]:
-    """Each record is an object with a string ``audio_filepath`` and a non-empty string ``label``."""
+    """Each record is an object with a string ``audio_filepath`` (no NUL) and a non-empty string ``label``."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -106,6 +106,8 @@ def load_manifest(path: str | Path) -> list[dict]:
             raise CliError(f"{path}:{lineno}: audio_filepath and label must be strings")
         if not rec["label"]:
             raise CliError(f"{path}:{lineno}: empty label")
+        if "\x00" in rec["audio_filepath"]:
+            raise CliError(f"{path}:{lineno}: audio_filepath holds a NUL character")
         records.append(rec)
     return records
 

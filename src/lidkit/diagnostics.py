@@ -92,14 +92,14 @@ def check_relu(rng: np.random.Generator) -> CheckResult:
 def check_dropout(rng: np.random.Generator) -> CheckResult:
     x = rng.standard_normal((3, 4))
     probe = rng.standard_normal((3, 4))
-    mask_rng_seed = int(rng.integers(0, 2**32))
-    _, mask = T.dropout(x, 0.4, np.random.default_rng(mask_rng_seed), "train")
+    seed = int(rng.integers(0, 2**32))  # every call draws the same mask: dropout is then linear
 
     def loss(d):
-        return float(np.sum(probe * d["x"] * mask))  # fixed mask: dropout is linear
+        return float(np.sum(probe * T.dropout(d["x"], 0.4, np.random.default_rng(seed), "train")[0]))
 
     def grads(d):
-        return {"x": T.dropout_backward(probe, mask)}
+        _, keep = T.dropout(d["x"], 0.4, np.random.default_rng(seed), "train")
+        return {"x": T.dropout_backward(probe, keep, 0.4)}
 
     return CheckResult("dropout", finite_diff_check(loss, grads, {"x": x}), ELEMENTWISE_TOL)
 

@@ -203,12 +203,12 @@ def encoder_forward(
                 h = h * mask
             layer_caches.append((conv_cache, pre, drop_mask))
         caches.append((layer_caches, skip_cache))
-    return h, (caches, mask)
+    return h, (caches, mask, cfg.dropout_rate)
 
 
 def encoder_backward(params: dict[str, np.ndarray], cache, grad_out: np.ndarray):
     """Exact adjoint of encoder_forward; returns (grad_input, grads dict)."""
-    caches, mask = cache
+    caches, mask, rate = cache
     grads: dict[str, np.ndarray] = {}
     grad = grad_out
     for layer_caches, skip_cache in reversed(caches):
@@ -216,7 +216,7 @@ def encoder_backward(params: dict[str, np.ndarray], cache, grad_out: np.ndarray)
         for conv_cache, pre, drop_mask in reversed(layer_caches):
             if mask is not None:
                 grad = grad * mask
-            grad = relu_backward(dropout_backward(grad, drop_mask), pre)
+            grad = relu_backward(dropout_backward(grad, drop_mask, rate), pre)
             if grad_skip is None:  # the last layer comes first: its pre-ReLU grad feeds the skip
                 grad_skip = grad
             grad = _conv_bn_backward(grad, conv_cache, params, grads)

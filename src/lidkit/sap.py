@@ -34,6 +34,12 @@ def _map_state(state: SapForwardState, fn) -> SapForwardState:
     return SapForwardState(**{f.name: fn(getattr(state, f.name)) for f in fields(state)})
 
 
+def sap_param_shapes(in_channels: int, d_att: int, n_classes: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every tensor ``init_sap_params`` makes, in its order."""
+    return {"sap.W": (d_att, in_channels), "sap.b": (d_att,), "sap.mu": (d_att,),
+            "head.W": (n_classes, in_channels), "head.b": (n_classes,)}
+
+
 def init_sap_params(
     in_channels: int, d_att: int, n_classes: int, seed: int, dtype=np.float32
 ) -> dict[str, np.ndarray]:

@@ -20,41 +20,83 @@ class ShapeError(Exception):
 # depthwise 1D convolution over time, one kernel per channel
 
 
-def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """x: (N, C, T) or (C, T); kernels: (C, K) with K odd.  Same zero padding."""
+# Kernels at least this wide go through the FFT, narrower ones through the
+# exact shift loop.  Forward + backward ms, loop / FFT, best of 5-50 calls on
+# 2 vCPU, numpy 2.4.6 (pocketfft), at K = 7 | 13 | 17 | 33 | 75:
+#   x (1, 512, 1998) f32:  16/33 | 29/32 | 38/38 | 75/27 | 172/31
+#   x (2, 512, 200) f64:   7.1/5.0 | 14/5.3 | 16/5.4 | 32/5.0 | 77/6.8
+#   x (8, 8, 100) f32:     0.17/0.13 | 0.27/0.13 | 0.34/0.13 | 0.60/0.16 | 1.3/0.18
+# The long clip crosses over last, at K = 15-17.  17 sends every paper kernel
+# to the FFT and every kernel of the tiny configs (<= 7) to the loop.
+FFT_MIN_K = 17
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 2*3*5-smooth length >= n: pocketfft is fastest there."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _depthwise_args(x: np.ndarray, kernels: np.ndarray):
     squeeze = x.ndim == 2
     if squeeze:
         x = x[None]
-    n, c, t = x.shape
-    ck, k = kernels.shape
+    c, k = kernels.shape
     if k % 2 == 0:
         raise ShapeError(f"kernel size {k} must be odd")
-    if ck != c:
-        raise ShapeError(f"channel mismatch: x has {c}, kernels have {ck}")
-    half = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (half, half)))
-    out = np.zeros_like(x)
-    for j in range(k):
-        out += kernels[None, :, j, None] * xp[:, :, j : j + t]
+    if c != x.shape[1]:
+        raise ShapeError(f"channel mismatch: x has {x.shape[1]}, kernels have {c}")
+    return squeeze, x, k // 2
+
+
+def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """x: (N, C, T) or (C, T); kernels: (C, K) with K odd.  Same zero padding.
+
+    From ``FFT_MIN_K`` up this correlation is the linear convolution with the
+    reversed kernel, read from offset K//2 (Mathieu et al. 2013, arXiv:1312.5851).
+    """
+    squeeze, x, half = _depthwise_args(x, kernels)
+    t, k = x.shape[2], kernels.shape[1]
+    if k >= FFT_MIN_K:
+        n = _fft_length(t + k - 1)
+        spec = np.fft.rfft(x, n) * np.fft.rfft(kernels[:, ::-1], n)
+        out = np.fft.irfft(spec, n)[..., half : half + t].astype(x.dtype)  # a copy, not a view of the buffer
+    else:
+        xp = np.pad(x, ((0, 0), (0, 0), (half, half)))
+        out = np.zeros_like(x)
+        for j in range(k):
+            out += kernels[None, :, j, None] * xp[:, :, j : j + t]
     return out[0] if squeeze else out
 
 
 def conv1d_depthwise_backward(grad_out: np.ndarray, x: np.ndarray, kernels: np.ndarray):
-    squeeze = x.ndim == 2
+    squeeze, x, half = _depthwise_args(x, kernels)
     if squeeze:
-        x, grad_out = x[None], grad_out[None]
-    n, c, t = x.shape
-    k = kernels.shape[1]
-    half = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (half, half)))
-    gp = np.pad(grad_out, ((0, 0), (0, 0), (half, half)))
-
-    grad_k = np.empty_like(kernels)
-    grad_x = np.zeros_like(x)
-    for j in range(k):
-        grad_k[:, j] = np.sum(grad_out * xp[:, :, j : j + t], axis=(0, 2))
-        # adjoint of the shift: correlate grad_out with the flipped kernel
-        grad_x += kernels[None, :, k - 1 - j, None] * gp[:, :, j : j + t]
+        grad_out = grad_out[None]
+    t, k = x.shape[2], kernels.shape[1]
+    if k >= FFT_MIN_K:
+        # the adjoint of the correlation convolves grad_out with the kernel;
+        # grad_k[j] = sum_{n,t} grad_out[t] * x[t + j - K//2], the lags -K//2..K//2
+        n = _fft_length(t + k - 1)
+        spec_g = np.fft.rfft(grad_out, n)
+        grad_x = np.fft.irfft(spec_g * np.fft.rfft(kernels, n), n)[..., half : half + t].astype(x.dtype)
+        lags = np.fft.irfft(np.sum(np.fft.rfft(x, n) * spec_g.conj(), axis=0), n)
+        grad_k = np.concatenate((lags[:, n - half :], lags[:, : half + 1]), axis=1).astype(kernels.dtype)
+    else:
+        xp = np.pad(x, ((0, 0), (0, 0), (half, half)))
+        gp = np.pad(grad_out, ((0, 0), (0, 0), (half, half)))
+        grad_k = np.empty_like(kernels)
+        grad_x = np.zeros_like(x)
+        for j in range(k):
+            grad_k[:, j] = np.sum(grad_out * xp[:, :, j : j + t], axis=(0, 2))
+            # adjoint of the shift: correlate grad_out with the flipped kernel
+            grad_x += kernels[None, :, k - 1 - j, None] * gp[:, :, j : j + t]
     return (grad_x[0] if squeeze else grad_x), grad_k
 
 
@@ -71,7 +113,8 @@ def conv1d_pointwise(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np
         raise ShapeError(
             f"pointwise shape mismatch: x {x.shape}, weights {weights.shape}, bias {bias.shape}"
         )
-    out = np.einsum("oi,nit->not", weights, x) + bias[None, :, None]
+    out = np.matmul(weights, x)
+    out += bias[:, None]
     return out[0] if squeeze else out
 
 
@@ -79,9 +122,9 @@ def conv1d_pointwise_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.n
     squeeze = x.ndim == 2
     if squeeze:
         x, grad_out = x[None], grad_out[None]
-    grad_w = np.einsum("not,nit->oi", grad_out, x)
+    grad_w = sum(g @ xi.T for g, xi in zip(grad_out, x))  # one GEMM per utterance
     grad_b = grad_out.sum(axis=(0, 2))
-    grad_x = np.einsum("oi,not->nit", weights, grad_out)
+    grad_x = np.matmul(weights.T, grad_out)
     return (grad_x[0] if squeeze else grad_x), grad_w, grad_b
 
 
@@ -180,16 +223,15 @@ def softmax(x: np.ndarray) -> np.ndarray:
 def dropout(x: np.ndarray, p: float, rng: np.random.Generator, mode: str):
     """Inverted dropout: identity in eval mode; survivors scaled by 1/(1-p).
 
-    Returns (out, mask); mask is None when no-op.
+    Returns (out, keep): keep is the bool mask of survivors, None when a no-op.
     """
     if not (0.0 <= p < 1.0):
         raise ValueError(f"dropout rate {p} must be in [0, 1)")
     if mode == "eval" or p == 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * mask, mask
+    keep = rng.random(x.shape) >= p
+    return x * (keep / (1.0 - p)), keep
 
 
-def dropout_backward(grad_out: np.ndarray, mask) -> np.ndarray:
-    return grad_out if mask is None else grad_out * mask
-
+def dropout_backward(grad_out: np.ndarray, keep, p: float) -> np.ndarray:
+    return grad_out if keep is None else grad_out * (keep / (1.0 - p))

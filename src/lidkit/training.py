@@ -12,14 +12,16 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from lidkit.augment import AugmentConfig, apply_specaugment
-from lidkit.encoder import EncoderConfig
+from lidkit.encoder import EncoderConfig, encoder_param_shapes, encoder_state_shapes
 from lidkit.features import FeatureMap
 from lidkit.model import Model, batch_from_features, model_backward, model_forward, predict
+from lidkit.sap import sap_param_shapes
 from lidkit.tensor_ops import ShapeError
 
 CHECKPOINT_MAGIC = b"LIDK"
@@ -136,6 +138,13 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
         raise CheckpointError(f"{path}: corrupt header: {exc!r}") from exc
     if expect_encoder is not None and cfg != expect_encoder:
         raise CheckpointError(f"{path}: checkpoint encoder config does not match the expected config")
+    # the tensors build_model makes for this config, d_att and labels, in save order
+    layout = [(f"enc.{k}", s, "param") for k, s in encoder_param_shapes(cfg).items()]
+    layout += [(k, s, "param") for k, s in sap_param_shapes(cfg.out_channels, d_att, len(labels)).items()]
+    layout += [(f"enc.{k}", s, "state") for k, s in encoder_state_shapes(cfg).items()]
+    for i, (entry, want) in enumerate(zip_longest(tensors, layout)):
+        if entry != want:
+            raise CheckpointError(f"{path}: tensor {i} is {entry}, the header's config needs {want}")
 
     blob = data[16 + header_len :]
     expected = sum(math.prod(shape) for _, shape, _ in tensors) * 4

@@ -311,7 +311,8 @@ class TestManifest:
         json.dumps({"audio_filepath": "x.wav", "label": ["a"]}),
         json.dumps({"audio_filepath": "x.wav", "label": 3}),
         json.dumps({"audio_filepath": None, "label": "a"}),
-    ], ids=["int", "null", "bool", "float", "string", "list", "list_label", "int_label", "null_path"])
+        json.dumps({"audio_filepath": "a\u0000b.wav", "label": "a"}),
+    ], ids=["int", "null", "bool", "float", "string", "list", "list_label", "int_label", "null_path", "nul_path"])
     def test_non_record_rejected(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"audio_filepath": "ok.wav", "label": "a"}) + "\n" + line + "\n")
@@ -330,11 +331,19 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
     mels.write_text(json.dumps({"features": {"n_mels": 32}}))  # the checkpoint's encoder takes 40
     raw = checkpoint.read_bytes()
     (header_len,) = struct.unpack_from("<Q", raw, 8)
-    header = json.loads(raw[16 : 16 + header_len])
-    del header["labels"]
-    header_bytes = json.dumps(header).encode("utf-8")
-    corrupt = tmp_path / "corrupt.lidk"
-    corrupt.write_bytes(raw[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + raw[16 + header_len :])
+
+    def edited_checkpoint(name, edit):
+        header = json.loads(raw[16 : 16 + header_len])
+        edit(header)
+        header_bytes = json.dumps(header).encode("utf-8")
+        path = tmp_path / name
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + raw[16 + header_len :])
+        return str(path)
+
+    corrupt = edited_checkpoint("corrupt.lidk", lambda h: h.pop("labels"))
+    renamed = edited_checkpoint("renamed.lidk", lambda h: h["tensors"][0].update(name="enc.renamed"))
+    nul_manifest = tmp_path / "nul.jsonl"
+    nul_manifest.write_text(json.dumps({"audio_filepath": "a\u0000b.wav", "label": "band0"}) + "\n")
     evaluate = ["evaluate", "--checkpoint", str(checkpoint), "--config", str(tiny_config),
                 "--out", str(tmp_path / "eval")]
     return {
@@ -344,8 +353,11 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
         "missing_taxonomy": evaluate + ["--manifest", str(manifest), "--taxonomy", str(tmp_path / "no.tsv")],
         "taxonomy_without_trained_label": evaluate + ["--manifest", str(manifest), "--taxonomy", str(taxonomy)],
         "predict_other_n_mels": ["predict", "--checkpoint", str(checkpoint), "--wav", wav, "--config", str(mels)],
-        "checkpoint_without_labels": ["predict", "--checkpoint", str(corrupt), "--wav", wav,
+        "checkpoint_without_labels": ["predict", "--checkpoint", corrupt, "--wav", wav,
                                       "--config", str(tiny_config)],
+        # names that build_model does not make used to load and end predict in a KeyError
+        "renamed_tensor": ["predict", "--checkpoint", renamed, "--wav", wav, "--config", str(tiny_config)],
+        "featurize_nul_path": ["featurize", "--manifest", str(nul_manifest), "--out", str(tmp_path / "o")],
         # a negative fraction would train on a slice counted from the end
         "negative_split": ["train", "--manifest", str(manifest), "--split", "-0.5", "--out", str(tmp_path / "o")],
     }
@@ -355,7 +367,7 @@ class TestErrors:
     @pytest.mark.parametrize("case", [
         "train_missing_manifest", "evaluate_missing_manifest", "featurize_missing_manifest",
         "missing_taxonomy", "taxonomy_without_trained_label", "predict_other_n_mels",
-        "checkpoint_without_labels", "negative_split",
+        "checkpoint_without_labels", "negative_split", "renamed_tensor", "featurize_nul_path",
     ])
     def test_exits_2_with_one_error_line(self, case, tmp_path, corpus_dir, trained_dir, tiny_config, capsys):
         argv = _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config)[case]

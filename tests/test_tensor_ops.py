@@ -21,6 +21,24 @@ def naive_depthwise(x, kernels):
     return out
 
 
+def naive_depthwise_backward(g, x, kernels):
+    """Triple-loop adjoint of naive_depthwise, per utterance of an (N, C, T) batch."""
+    n, c, t = x.shape
+    k = kernels.shape[1]
+    half = k // 2
+    gx = np.zeros_like(x)
+    gk = np.zeros_like(kernels)
+    for ni in range(n):
+        for ci in range(c):
+            for ti in range(t):
+                for j in range(k):
+                    src = ti + j - half
+                    if 0 <= src < t:
+                        gx[ni, ci, src] += g[ni, ci, ti] * kernels[ci, j]
+                        gk[ci, j] += g[ni, ci, ti] * x[ni, ci, src]
+    return gx, gk
+
+
 def naive_pointwise(x, w, b):
     cin, t = x.shape
     cout = w.shape[0]
@@ -61,6 +79,50 @@ class TestDepthwiseConv:
             x = rng.standard_normal((c, t))
             kernels = rng.standard_normal((c, k))
             assert np.max(np.abs(T.conv1d_depthwise(x, kernels) - naive_depthwise(x, kernels))) <= 1e-6
+
+
+class TestDepthwiseConvFFT:
+    """Kernels from FFT_MIN_K up take the FFT path; the paper's are 33-75 wide."""
+
+    @pytest.mark.parametrize("k", [33, 39, 51, 63, 75, T.FFT_MIN_K - 2, T.FFT_MIN_K])
+    @pytest.mark.parametrize("t", [1, 20, 200])
+    def test_matches_naive_oracle_float64(self, k, t):
+        rng = np.random.default_rng([k, t])
+        x, g = rng.standard_normal((2, 2, 3, t))
+        kernels = rng.standard_normal((3, k))
+        out = T.conv1d_depthwise(x, kernels)
+        want = np.stack([naive_depthwise(xi, kernels) for xi in x])
+        gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
+        want_gx, want_gk = naive_depthwise_backward(g, x, kernels)
+        for got, ref in ((out, want), (gx, want_gx), (gk, want_gk)):
+            assert got.shape == ref.shape and got.dtype == np.float64
+            assert np.max(np.abs(got - ref)) <= 1e-6
+
+    def test_long_clip_float32(self):
+        # a 20 s clip at the widest paper kernel, against per-channel float64
+        # np.correlate / np.convolve; float32 FFT error grows with log(L),
+        # so the bound is relative: 1e-5 of the largest reference value
+        rng = np.random.default_rng(9)
+        x, g = rng.standard_normal((2, 1, 512, 1998)).astype(np.float32)
+        kernels = rng.standard_normal((512, 75)).astype(np.float32)
+        xp = np.pad(x[0].astype(np.float64), ((0, 0), (37, 37)))
+        g64, k64 = g[0].astype(np.float64), kernels.astype(np.float64)
+        want = np.stack([np.correlate(xc, kc, "valid") for xc, kc in zip(xp, k64)])
+        want_gx = np.stack([np.convolve(gc, kc, "same") for gc, kc in zip(g64, k64)])
+        want_gk = np.stack([np.correlate(xc, gc, "valid") for xc, gc in zip(xp, g64)])
+        gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
+        for got, ref in ((T.conv1d_depthwise(x, kernels)[0], want), (gx[0], want_gx), (gk, want_gk)):
+            assert got.dtype == np.float32
+            assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+    def test_output_owns_its_memory(self):
+        # a view into the padded FFT buffer would keep that buffer alive in the activation cache
+        rng = np.random.default_rng(4)
+        x, g = rng.standard_normal((2, 2, 3, 40))
+        kernels = rng.standard_normal((3, T.FFT_MIN_K))
+        gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
+        for out in (T.conv1d_depthwise(x, kernels), gx, gk):
+            assert out.base is None
 
 
 class TestPointwiseConv:
@@ -203,6 +265,18 @@ class TestElementwise:
         out, _ = T.dropout(x, 0.25, np.random.default_rng(8), "train")
         survivors = out[out > 0]
         assert np.allclose(survivors, 1.0 / 0.75)
+
+    def test_dropout_bool_mask_bit_identical(self):
+        # the mask is one byte per element; output and gradient equal the
+        # float64 multiplier (rng.random(shape) >= p) / (1 - p) bit for bit
+        rng = np.random.default_rng(11)
+        x, g = rng.standard_normal((2, 3, 4, 50)).astype(np.float32)
+        p = 0.3
+        out, keep = T.dropout(x, p, np.random.default_rng(5), "train")
+        multiplier = (np.random.default_rng(5).random(x.shape) >= p) / (1 - p)
+        assert keep.dtype == bool
+        for got, want in ((out, x * multiplier), (T.dropout_backward(g, keep, p), g * multiplier)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_dropout_p_one_rejected(self):
         with pytest.raises(ValueError):
