@@ -8,6 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_DURATION_S = 20.0  # longer clips are truncated, not rejected
+WAVE_FORMAT_PCM = 1
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
 
 class WavError(Exception):
@@ -42,7 +44,8 @@ class AudioClip:
 def decode_wav(data: bytes, clip_id: str = "", max_duration: float = MAX_DURATION_S) -> AudioClip:
     """Decode a 16-bit PCM RIFF/WAVE byte string.
 
-    Multichannel audio is averaged to mono; samples are scaled by 1/32768.
+    PCM may be tagged plainly (1) or as WAVE_FORMAT_EXTENSIBLE with the PCM
+    sub-format.  Multichannel audio is averaged to mono; samples are scaled by 1/32768.
     Clips longer than ``max_duration`` seconds are truncated.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -58,7 +61,11 @@ def decode_wav(data: bytes, clip_id: str = "", max_duration: float = MAX_DURATIO
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise MalformedWavError("fmt chunk truncated")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = list(struct.unpack_from("<HHIIHH", body, 0))
+            if fmt[0] == WAVE_FORMAT_EXTENSIBLE:
+                if len(body) < 40:
+                    raise MalformedWavError("extensible fmt chunk truncated")
+                fmt[0] = struct.unpack_from("<I", body, 24)[0]  # the sub-format GUID starts with the format tag
         elif chunk_id == b"data":
             if len(body) < chunk_len:
                 raise MalformedWavError("data chunk truncated")
@@ -68,7 +75,7 @@ def decode_wav(data: bytes, clip_id: str = "", max_duration: float = MAX_DURATIO
     if fmt is None:
         raise MalformedWavError("missing fmt chunk")
     audio_format, n_channels, sample_rate, _, _, bits_per_sample = fmt
-    if audio_format != 1 or bits_per_sample != 16:
+    if audio_format != WAVE_FORMAT_PCM or bits_per_sample != 16:
         raise UnsupportedCodecError(
             f"only 16-bit PCM supported (format={audio_format}, bits={bits_per_sample})"
         )

@@ -146,13 +146,13 @@ def build_encoder(cfg: EncoderConfig, seed: int, dtype=np.float32):
 
 
 def _conv_bn(x, params, state, layer, mode, mask):
-    """[depthwise k ->] pointwise -> batch norm; returns (out, cache)."""
+    """[depthwise k ->] pointwise -> batch norm; returns (out, cache), cache None in eval mode."""
     name, _, _, k = layer
     y_dw = conv1d_depthwise(x, params[f"{name}.dw"]) if k else x
     y_pw = conv1d_pointwise(y_dw, params[f"{name}.pw_w"], params[f"{name}.pw_b"])
     out, bn_cache = batch_norm_1d(y_pw, params[f"{name}.bn.gamma"], params[f"{name}.bn.beta"],
                                   state[f"{name}.bn.mean"], state[f"{name}.bn.var"], mode, mask=mask)
-    return out, (layer, x, y_dw, bn_cache)
+    return out, (None if bn_cache is None else (layer, x, y_dw, bn_cache))
 
 
 def _conv_bn_backward(grad, cache, params, grads):
@@ -177,15 +177,20 @@ def encoder_forward(
 ):
     """x: (N, input_dim, T) -> (N, out_channels, T), plus cache for backward.
 
-    Frames at t >= valid_lens[i] are zeroed after every layer so that
-    padding cannot leak into valid positions through the convolutions.
+    When some valid_lens[i] < T, frames at t >= valid_lens[i] are zeroed
+    after every layer so that padding cannot leak into valid positions
+    through the convolutions.  Train mode's cache holds every layer's
+    inputs, batch-norm cache, pre-ReLU sum and dropout mask.  Eval mode
+    is inference only: it keeps no cache and returns None in its place,
+    so each layer's arrays are freed once the next layer has read them.
     """
     if x.ndim != 3 or x.shape[1] != cfg.input_dim:
         raise ShapeError(f"expected (N, {cfg.input_dim}, T) input, got {x.shape}")
-    if mode == "train" and rng is None:
+    train = mode == "train"
+    if train and rng is None:
         rng = np.random.default_rng(0)
     mask = None
-    if valid_lens is not None:
+    if valid_lens is not None and np.any(np.asarray(valid_lens) < x.shape[2]):
         mask = (np.arange(x.shape[2]) < np.asarray(valid_lens)[:, None, None]).astype(x.dtype)
         x = x * mask
 
@@ -197,17 +202,19 @@ def encoder_forward(
         for i, layer in enumerate(layers):
             pre, conv_cache = _conv_bn(h, params, state, layer, mode, mask)
             if skip_out is not None and i == len(layers) - 1:
-                pre = pre + skip_out
+                pre += skip_out  # pre is batch norm's fresh output, referenced by no cache
             h, drop_mask = dropout(relu(pre), cfg.dropout_rate if drop else 0.0, rng, mode)
             if mask is not None:
                 h = h * mask
-            layer_caches.append((conv_cache, pre, drop_mask))
-        caches.append((layer_caches, skip_cache))
-    return h, (caches, mask, cfg.dropout_rate)
+            if train:
+                layer_caches.append((conv_cache, pre, drop_mask))
+        if train:
+            caches.append((layer_caches, skip_cache))
+    return h, ((caches, mask, cfg.dropout_rate) if train else None)
 
 
 def encoder_backward(params: dict[str, np.ndarray], cache, grad_out: np.ndarray):
-    """Exact adjoint of encoder_forward; returns (grad_input, grads dict)."""
+    """Exact adjoint of a train-mode encoder_forward; returns (grad_input, grads dict)."""
     caches, mask, rate = cache
     grads: dict[str, np.ndarray] = {}
     grad = grad_out

@@ -74,7 +74,11 @@ def model_forward(
 
     Train mode updates the arrays of ``model.state`` (batch-norm running
     statistics) in place; eval mode leaves them unchanged.  Returns
-    (logits (N, n_classes), mean loss or None, cache for backward).
+    (logits (N, n_classes), mean loss or None, cache).  The cache is
+    (frames, encoder cache, SAP state, logit gradient or None).  Eval mode
+    keeps no encoder cache (None there), only the encoder's output frames
+    and the SAP state, whose ``weights`` are the attention; a backward
+    needs a train-mode cache.
     """
     frames, enc_cache = encoder_forward(
         model.encoder_cfg, _enc_view(model.params), _enc_view(model.state), x,
@@ -91,7 +95,7 @@ def model_forward(
 
 
 def model_backward(model: Model, cache) -> dict[str, np.ndarray]:
-    """Gradients of the mean cross-entropy; call after a forward with targets.
+    """Gradients of the mean cross-entropy; call after a train-mode forward with targets.
 
     Returns one gradient per ``model.params`` key, plus the gradient with
     respect to the input batch x under ``"input"``.
@@ -99,6 +103,8 @@ def model_backward(model: Model, cache) -> dict[str, np.ndarray]:
     frames, enc_cache, sap_state, grad_logits = cache
     if grad_logits is None:
         raise RuntimeError("backward requires a forward pass with targets")
+    if enc_cache is None:
+        raise RuntimeError("backward requires a train-mode forward pass")
     grad_logits = grad_logits / len(grad_logits)  # mean reduction over the batch
     grad_e, grads = classify_backward(sap_state.embedding, model.params, grad_logits)
     grad_frames, sap_grads = sap_backward(sap_state, frames, model.params, grad_e)

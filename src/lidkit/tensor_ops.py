@@ -150,53 +150,54 @@ def batch_norm_1d(
     In train mode ``running_mean`` and ``running_var`` are updated in
     place, keeping their dtype; eval mode only reads them.  ``mask``
     (N, 1, T; 1 = valid) restricts the statistics to valid frames so zero
-    padding cannot bias them.  Returns (out, cache); pass cache to
-    batch_norm_1d_backward.
+    padding cannot bias them.  Returns (out, cache); pass a train-mode
+    cache to batch_norm_1d_backward.  Eval mode is inference only: it
+    builds gamma * ((x - mean) * inv_std) + beta in one buffer, one ufunc
+    at a time, and returns None as its cache.
     """
     if x.ndim != 3:
         raise ShapeError("batch_norm_1d expects (N, C, T)")
+    if mode == "eval":
+        inv_std = 1.0 / np.sqrt(running_var + BN_EPSILON)
+        out = x - running_mean[None, :, None]
+        for op, v in ((np.multiply, inv_std), (np.multiply, gamma), (np.add, beta)):
+            # in place unless v widens the dtype, so each step rounds as it would out of place
+            out = op(out, v[None, :, None], out=out if np.result_type(out, v) == out.dtype else None)
+        return out, None
+    if mode != "train":
+        raise ValueError(f"unknown mode {mode!r}")
     n, c, t = x.shape
     count = float(n * t) if mask is None else float(mask.sum())
-    if mode == "train":
-        if count < 2:
-            raise ShapeError("train-mode batch norm needs at least 2 values per channel")
-        if mask is None:
-            mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
-        else:
-            mean = np.sum(x * mask, axis=(0, 2)) / count
-            var = np.sum(mask * (x - mean[None, :, None]) ** 2, axis=(0, 2)) / count
-        m = BN_MOMENTUM
-        running_mean[...] = (1 - m) * running_mean + m * mean
-        running_var[...] = (1 - m) * running_var + m * var
-    elif mode == "eval":
-        mean = running_mean
-        var = running_var
+    if count < 2:
+        raise ShapeError("train-mode batch norm needs at least 2 values per channel")
+    if mask is None:
+        mean = x.mean(axis=(0, 2))
+        var = x.var(axis=(0, 2))
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        mean = np.sum(x * mask, axis=(0, 2)) / count
+        var = np.sum(mask * (x - mean[None, :, None]) ** 2, axis=(0, 2)) / count
+    m = BN_MOMENTUM
+    running_mean[...] = (1 - m) * running_mean + m * mean
+    running_var[...] = (1 - m) * running_var + m * var
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
     out = gamma[None, :, None] * xhat + beta[None, :, None]
-    cache = (xhat, inv_std, gamma, mode, mask, count)
-    return out, cache
+    return out, (xhat, inv_std, gamma, mask, count)
 
 
 def batch_norm_1d_backward(grad_out: np.ndarray, cache):
-    """Adjoint; expects grad_out to be zero at masked-out positions."""
-    xhat, inv_std, gamma, mode, mask, count = cache
+    """Adjoint of train mode; expects grad_out to be zero at masked-out positions."""
+    xhat, inv_std, gamma, mask, count = cache
     grad_gamma = np.sum(grad_out * xhat, axis=(0, 2))
     grad_beta = np.sum(grad_out, axis=(0, 2))
-    if mode == "eval":
-        grad_x = grad_out * (gamma * inv_std)[None, :, None]
-    else:
-        g = gamma[None, :, None] * inv_std[None, :, None]
-        grad_x = g * (
-            grad_out
-            - grad_beta[None, :, None] / count
-            - xhat * grad_gamma[None, :, None] / count
-        )
-        if mask is not None:
-            grad_x = grad_x * mask
+    g = gamma[None, :, None] * inv_std[None, :, None]
+    grad_x = g * (
+        grad_out
+        - grad_beta[None, :, None] / count
+        - xhat * grad_gamma[None, :, None] / count
+    )
+    if mask is not None:
+        grad_x = grad_x * mask
     return grad_x, grad_gamma, grad_beta
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,39 @@ def test_encode_decode_roundtrip():
     samples = rng.uniform(-0.9, 0.9, size=200).astype(np.float32)
     clip = decode_wav(encode_wav(samples, 16000))
     assert np.max(np.abs(clip.samples - samples)) < 1.0 / 32768
+
+
+# the base GUID of the KSDATAFORMAT_SUBTYPE_* sub-formats; the first 4 bytes carry the format tag
+SUBTYPE_TAIL = bytes.fromhex("00001000800000aa00389b71")
+
+
+def extensible_wav(samples, sub_format=1, n_channels=1, fmt_len=40):
+    """A WAVE_FORMAT_EXTENSIBLE file: 16-bit samples, the fmt chunk cut to fmt_len bytes."""
+    body = np.asarray(samples).astype("<i2").tobytes()
+    guid = struct.pack("<I", sub_format) + SUBTYPE_TAIL
+    fmt = struct.pack("<HHIIHHHHI16s", 0xFFFE, n_channels, 16000, 16000 * 2 * n_channels, 2 * n_channels, 16,
+                      22, 16, 0x4 if n_channels == 1 else 0x3, guid)[:fmt_len]
+    fmt += b"\x00" * (len(fmt) & 1)  # the word-alignment pad, not counted in the chunk length
+    chunks = b"fmt " + struct.pack("<I", fmt_len) + fmt + b"data" + struct.pack("<I", len(body)) + body
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def test_extensible_pcm_decodes_like_plain_pcm():
+    raw = np.array([[0, 1000], [-32768, 32767], [16384, -16384]])
+    for n_channels, samples in ((1, raw[:, 0]), (2, raw)):
+        clip = decode_wav(extensible_wav(samples, n_channels=n_channels))
+        plain = decode_wav(wav_bytes(samples, n_channels=n_channels))
+        assert clip.sample_rate == plain.sample_rate
+        assert clip.samples.tobytes() == plain.samples.tobytes()
+
+
+@pytest.mark.parametrize("sub_format", [3, 0x10001, 0xFFFE])
+def test_extensible_non_pcm_rejected(sub_format):
+    with pytest.raises(UnsupportedCodecError):
+        decode_wav(extensible_wav([0, 0], sub_format=sub_format))
+
+
+@pytest.mark.parametrize("fmt_len", [16, 18, 39])
+def test_extensible_short_fmt_chunk_rejected(fmt_len):
+    with pytest.raises(MalformedWavError):
+        decode_wav(extensible_wav([0, 0], fmt_len=fmt_len))

@@ -5,6 +5,8 @@ through each function once; every row must match the same function
 called on that utterance alone.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,3 +117,31 @@ def test_model_backward_returns_params_and_input_grads():
         assert grads[k].shape == p.shape, k
     for i, v in enumerate(VALID):
         assert np.all(grads["input"][i, :, v:] == 0.0)
+
+
+def test_backward_after_eval_forward_refused():
+    model = _tiny_model()
+    x = np.random.default_rng(6).standard_normal((3, 6, T)).astype(np.float32)
+    _, loss, cache = model_forward(model, x, VALID, targets=[0, 2, 1], mode="eval")
+    assert loss is not None and cache[1] is None
+    with pytest.raises(RuntimeError, match="train-mode forward"):
+        model_backward(model, cache)
+
+
+def _eval_forward_peak_bytes(blocks: int) -> int:
+    cfg = EncoderConfig(channels=(16,) * blocks, kernel_sizes=(5,) * blocks, sub_blocks=2, input_dim=40,
+                        out_channels=16)
+    model = build_model(cfg, ["a", "b"], seed=0, d_att=8)
+    x = np.random.default_rng(7).standard_normal((1, 40, 2000)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        model_forward(model, x, [2000], mode="eval")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_forward_peak_memory_flat_in_depth():
+    # a cache of every layer's arrays would add ~0.4 MB per conv layer here
+    one, six = _eval_forward_peak_bytes(1), _eval_forward_peak_bytes(6)
+    assert six <= 1.1 * one, (one, six)

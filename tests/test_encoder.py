@@ -232,7 +232,7 @@ class TestBackward:
                             input_dim=3, out_channels=3)
         params, state = build_encoder(cfg, seed=11, dtype=np.float64)
         x = np.random.default_rng(11).standard_normal((2, 3, 5))
-        out, cache = encoder_forward(cfg, params, state, x, mode="eval")
+        out, cache = encoder_forward(cfg, params, state, x, mode="train")
         probe = np.random.default_rng(12).standard_normal(out.shape)
         grad_x, grads = encoder_backward(params, cache, probe)
         # epilogue bias gradient equals the probe mass where the ReLU is active

@@ -211,6 +211,22 @@ class TestBatchNorm:
         expected = 1.0 / np.sqrt(1.0 + T.BN_EPSILON)
         assert np.allclose(out, expected)
 
+    @pytest.mark.parametrize("x_dtype, stats_dtype, affine_dtype", [
+        (np.float32, np.float32, np.float32), (np.float64, np.float64, np.float64),
+        (np.float32, np.float64, np.float64), (np.float64, np.float32, np.float32),
+        (np.float32, np.float32, np.float64)])
+    def test_eval_bit_identical_to_formula(self, x_dtype, stats_dtype, affine_dtype):
+        rng = np.random.default_rng(9)
+        x = (rng.standard_normal((2, 5, 33)) * 3 + 1).astype(x_dtype)
+        gamma, beta = rng.standard_normal((2, 5)).astype(affine_dtype)
+        mean, var = rng.standard_normal(5).astype(stats_dtype), (0.1 + rng.random(5)).astype(stats_dtype)
+        out, cache = T.batch_norm_1d(x, gamma, beta, mean, var, "eval")
+        inv_std = 1.0 / np.sqrt(var + T.BN_EPSILON)
+        want = gamma[None, :, None] * ((x - mean[None, :, None]) * inv_std[None, :, None]) + beta[None, :, None]
+        assert cache is None
+        assert out.dtype == want.dtype and np.array_equal(out, want)
+        assert not np.shares_memory(out, x)
+
     def test_tiny_batch_rejected_in_train(self):
         with pytest.raises(T.ShapeError):
             T.batch_norm_1d(np.zeros((1, 2, 1)), *bn_args(2), "train")
