@@ -256,6 +256,8 @@ def cmd_predict(args) -> int:
         records = [{"audio_filepath": args.wav, "label": None}]
     else:
         records = load_manifest(args.manifest)
+        if not records:
+            raise CliError("empty manifest")
     data, failures = featurize_records(records, cfg["features"])
     if failures:  # fail fast: one bad clip and nothing is printed
         raise CliError(f"{failures[0]['audio_filepath']}: {failures[0]['error']}")
@@ -279,7 +281,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_all_checks(seed=args.seed, corrupt=args.corrupt)
+    results = run_all_checks(seed=args.seed)
     ok = True
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -327,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every layer")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 
@@ -344,6 +345,8 @@ def main(argv: list[str] | None = None) -> int:
             raise CliError(f"--split must lie strictly between 0 and 1, got {args.split}")
         if args.command == "predict" and not (args.wav or args.manifest):
             raise CliError("provide --wav or --manifest")
+        if args.command == "gradcheck" and args.seed < 0:
+            raise CliError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (CliError, OSError, WavError, FeatureError, ShapeError, TrainError, CheckpointError,
             EvaluationError) as exc:

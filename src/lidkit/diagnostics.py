@@ -160,33 +160,35 @@ def check_batch_norm(rng: np.random.Generator) -> CheckResult:
 
 
 def check_cross_entropy(rng: np.random.Generator) -> CheckResult:
-    x = rng.standard_normal(6)
+    x = rng.standard_normal((2, 6))
+    targets = np.array([2, 5])
 
     def loss(d):
-        return cross_entropy(d["logits"], 2)[0]
+        return float(cross_entropy(d["logits"], targets)[0].sum())
 
     def grads(d):
-        return {"logits": cross_entropy(d["logits"], 2)[1]}
+        return {"logits": cross_entropy(d["logits"], targets)[1]}
 
     return CheckResult("cross_entropy", finite_diff_check(loss, grads, {"logits": x}), ELEMENTWISE_TOL)
 
 
 def check_sap(rng: np.random.Generator) -> CheckResult:
-    c, t, d_att = 3, 5, 4
+    n, c, t, d_att = 2, 3, 5, 4
+    valid = np.array([4, 2])
     inputs = {
-        "x": rng.standard_normal((c, t)),
+        "x": rng.standard_normal((n, c, t)),
         "sap.W": rng.standard_normal((d_att, c)),
         "sap.b": rng.standard_normal(d_att),
         "sap.mu": rng.standard_normal(d_att),
     }
-    probe = rng.standard_normal(c)
+    probe = rng.standard_normal((n, c))
 
     def loss(d):
-        st = sap_forward(d["x"], d, valid_len=4)
-        return float(np.dot(probe, st.embedding))
+        st = sap_forward(d["x"], d, valid_len=valid)
+        return float(np.sum(probe * st.embedding))
 
     def grads(d):
-        st = sap_forward(d["x"], d, valid_len=4)
+        st = sap_forward(d["x"], d, valid_len=valid)
         gx, gp = sap_backward(st, d["x"], d, probe)
         return {"x": gx, **gp}
 
@@ -220,7 +222,7 @@ def _composite_loss_and_grads(cfg: EncoderConfig, d_att: int, n_classes: int, x6
     return loss, grads, inputs
 
 
-def check_composite(rng: np.random.Generator, corrupt: bool = False) -> CheckResult:
+def check_composite(rng: np.random.Generator) -> CheckResult:
     """Tiny encoder + SAP + cross-entropy, end to end."""
     cfg = EncoderConfig(channels=(4, 4, 4), kernel_sizes=(3, 3, 5), sub_blocks=2,
                         input_dim=5, out_channels=6, dropout_rate=0.0)
@@ -237,14 +239,6 @@ def check_composite(rng: np.random.Generator, corrupt: bool = False) -> CheckRes
     valid = np.array([t, t - 1])
     targets = np.array([0, 2])
     loss, grads, inputs = _composite_loss_and_grads(cfg, d_att, n_classes, x64, valid, targets, params64)
-    if corrupt:
-        real = grads
-
-        def grads(d):  # noqa: F811 - deliberate corruption for harness sensitivity tests
-            g = real(d)
-            g["head.b"] = g["head.b"] + 1.0
-            return g
-
     # a 1e-4 step occasionally crosses a ReLU kink in the deep composite;
     # float64 central differences stay accurate down to ~1e-7, so confirm
     # any failure at a finer step before reporting it
@@ -265,8 +259,8 @@ ALL_CHECKS = [
 ]
 
 
-def run_all_checks(seed: int = 0, corrupt: bool = False) -> list[CheckResult]:
+def run_all_checks(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results = [check(rng) for check in ALL_CHECKS]
-    results.append(check_composite(rng, corrupt=corrupt))
+    results.append(check_composite(rng))
     return results

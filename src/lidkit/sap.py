@@ -6,14 +6,14 @@ the valid frames, and returns the weighted sum of the raw frames as the
 utterance embedding.
 
 Every function takes a padded batch: (N, C, T) frames with N valid
-lengths, (N, C) embeddings, (N, K) logits with N targets.  A single
-utterance ((C, T) frames, a (C,) embedding, (K,) logits) is accepted
-too and gives unbatched results.
+lengths, (N, C) embeddings, (N, K) logits with N targets.  Only
+``sap_forward`` also takes a single utterance, (C, T) frames, and then
+returns unbatched state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +28,6 @@ class SapForwardState:
     scores: np.ndarray  # N x T_used
     weights: np.ndarray  # N x T, zero beyond each valid length
     embedding: np.ndarray  # N x C
-
-
-def _map_state(state: SapForwardState, fn) -> SapForwardState:
-    return SapForwardState(**{f.name: fn(getattr(state, f.name)) for f in fields(state)})
 
 
 def sap_param_shapes(in_channels: int, d_att: int, n_classes: int) -> dict[str, tuple[int, ...]]:
@@ -88,20 +84,19 @@ def sap_forward(x: np.ndarray, params: dict[str, np.ndarray], valid_len=None) ->
     weights = np.zeros((n, t), dtype=x.dtype)
     weights[:, :t_used] = z / z.sum(axis=1, keepdims=True)
     embedding = np.matmul(xv, weights[:, :t_used, None])[:, :, 0]
-    state = SapForwardState(hidden=hidden, scores=scores, weights=weights, embedding=embedding)
-    return _map_state(state, lambda a: a[0]) if squeeze else state
+    if squeeze:
+        return SapForwardState(hidden[0], scores[0], weights[0], embedding[0])
+    return SapForwardState(hidden, scores, weights, embedding)
 
 
 def sap_backward(
     state: SapForwardState, x: np.ndarray, params: dict[str, np.ndarray], grad_e: np.ndarray
 ):
-    """Adjoint of sap_forward; parameter grads are summed over the batch.
+    """Adjoint of the batched sap_forward: x (N, C, T), grad_e (N, C).
 
-    Padded frames receive zero gradient.
+    Parameter grads are summed over the batch; padded frames receive zero
+    gradient.
     """
-    squeeze = x.ndim == 2
-    if squeeze:
-        x, grad_e, state = x[None], grad_e[None], _map_state(state, lambda a: a[None])
     h = state.hidden
     t_used = h.shape[2]
     xv = x[:, :, :t_used]
@@ -123,11 +118,11 @@ def sap_backward(
     gxv = grad_x[:, :, :t_used]
     np.matmul(w_att.T, grad_pre, out=gxv)
     gxv += grad_e[:, :, None] * wv[:, None, :]  # e = sum_t w_t x_t
-    return (grad_x[0] if squeeze else grad_x), {"sap.W": grad_W, "sap.b": grad_b, "sap.mu": grad_mu}
+    return grad_x, {"sap.W": grad_W, "sap.b": grad_b, "sap.mu": grad_mu}
 
 
 def classify(e: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
-    """Logits = e @ head.W^T + head.b, for (N, C) or (C,) embeddings."""
+    """Logits = e @ head.W^T + head.b, (N, n_classes) for (N, C) embeddings."""
     w, b = params["head.W"], params["head.b"]
     if w.shape[1] != e.shape[-1]:
         raise ShapeError(f"head expects embedding of size {w.shape[1]}, got {e.shape[-1]}")
@@ -135,25 +130,18 @@ def classify(e: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def classify_backward(e: np.ndarray, params: dict[str, np.ndarray], grad_logits: np.ndarray):
-    """Adjoint of classify; parameter grads are summed over the batch."""
-    squeeze = e.ndim == 1
-    if squeeze:
-        e, grad_logits = e[None], grad_logits[None]
+    """Adjoint of classify on (N, C) embeddings; parameter grads are summed over the batch."""
     grad_e = grad_logits @ params["head.W"]
     grads = {"head.W": grad_logits.T @ e, "head.b": grad_logits.sum(axis=0)}
-    return (grad_e[0] if squeeze else grad_e), grads
+    return grad_e, grads
 
 
 def cross_entropy(logits: np.ndarray, target):
-    """Returns (loss, grad_logits); loss = -log softmax(logits)[target].
+    """Per-row losses (N,) and grad_logits (N, K) for (N, K) logits and N targets.
 
-    (N, K) logits with N targets give per-row losses; (K,) logits with
-    one target give a float.  Computed in log space with max subtraction,
-    so extreme logits stay finite.
+    loss = -log softmax(logits)[target], computed in log space with max
+    subtraction, so extreme logits stay finite.
     """
-    squeeze = logits.ndim == 1
-    if squeeze:
-        logits = logits[None]
     n, k = logits.shape
     targets = np.asarray(target).reshape(-1)
     if targets.shape != (n,):
@@ -166,4 +154,4 @@ def cross_entropy(logits: np.ndarray, target):
     loss = log_z - shifted[rows, targets]
     grad = np.exp(shifted - log_z[:, None])
     grad[rows, targets] -= 1.0
-    return (float(loss[0]), grad[0]) if squeeze else (loss, grad)
+    return loss, grad

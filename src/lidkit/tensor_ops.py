@@ -43,25 +43,22 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-def _depthwise_args(x: np.ndarray, kernels: np.ndarray):
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
+def _half_width(x: np.ndarray, kernels: np.ndarray) -> int:
     c, k = kernels.shape
     if k % 2 == 0:
         raise ShapeError(f"kernel size {k} must be odd")
-    if c != x.shape[1]:
-        raise ShapeError(f"channel mismatch: x has {x.shape[1]}, kernels have {c}")
-    return squeeze, x, k // 2
+    if x.ndim != 3 or c != x.shape[1]:
+        raise ShapeError(f"depthwise conv expects x of shape (N, {c}, T), got {x.shape}")
+    return k // 2
 
 
 def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """x: (N, C, T) or (C, T); kernels: (C, K) with K odd.  Same zero padding.
+    """x: (N, C, T); kernels: (C, K) with K odd.  Same zero padding.
 
     From ``FFT_MIN_K`` up this correlation is the linear convolution with the
     reversed kernel, read from offset K//2 (Mathieu et al. 2013, arXiv:1312.5851).
     """
-    squeeze, x, half = _depthwise_args(x, kernels)
+    half = _half_width(x, kernels)
     t, k = x.shape[2], kernels.shape[1]
     if k >= FFT_MIN_K:
         n = _fft_length(t + k - 1)
@@ -72,13 +69,11 @@ def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
         for j in range(k):
             out += kernels[None, :, j, None] * xp[:, :, j : j + t]
-    return out[0] if squeeze else out
+    return out
 
 
 def conv1d_depthwise_backward(grad_out: np.ndarray, x: np.ndarray, kernels: np.ndarray):
-    squeeze, x, half = _depthwise_args(x, kernels)
-    if squeeze:
-        grad_out = grad_out[None]
+    half = _half_width(x, kernels)
     t, k = x.shape[2], kernels.shape[1]
     if k >= FFT_MIN_K:
         # the adjoint of the correlation convolves grad_out with the kernel;
@@ -97,7 +92,7 @@ def conv1d_depthwise_backward(grad_out: np.ndarray, x: np.ndarray, kernels: np.n
             grad_k[:, j] = np.sum(grad_out * xp[:, :, j : j + t], axis=(0, 2))
             # adjoint of the shift: correlate grad_out with the flipped kernel
             grad_x += kernels[None, :, k - 1 - j, None] * gp[:, :, j : j + t]
-    return (grad_x[0] if squeeze else grad_x), grad_k
+    return grad_x, grad_k
 
 
 # ---------------------------------------------------------------------------
@@ -105,27 +100,21 @@ def conv1d_depthwise_backward(grad_out: np.ndarray, x: np.ndarray, kernels: np.n
 
 
 def conv1d_pointwise(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """x: (N, Cin, T) or (Cin, T); weights: (Cout, Cin); bias: (Cout,)."""
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
-    if x.shape[1] != weights.shape[1] or weights.shape[0] != bias.shape[0]:
+    """x: (N, Cin, T); weights: (Cout, Cin); bias: (Cout,)."""
+    if x.ndim != 3 or x.shape[1] != weights.shape[1] or weights.shape[0] != bias.shape[0]:
         raise ShapeError(
             f"pointwise shape mismatch: x {x.shape}, weights {weights.shape}, bias {bias.shape}"
         )
     out = np.matmul(weights, x)
     out += bias[:, None]
-    return out[0] if squeeze else out
+    return out
 
 
 def conv1d_pointwise_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray):
-    squeeze = x.ndim == 2
-    if squeeze:
-        x, grad_out = x[None], grad_out[None]
     grad_w = sum(g @ xi.T for g, xi in zip(grad_out, x))  # one GEMM per utterance
     grad_b = grad_out.sum(axis=(0, 2))
     grad_x = np.matmul(weights.T, grad_out)
-    return (grad_x[0] if squeeze else grad_x), grad_w, grad_b
+    return grad_x, grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------

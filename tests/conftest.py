@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lidkit import diagnostics
+
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
@@ -42,3 +44,16 @@ def taxonomy_23_path():
 @pytest.fixture
 def taxonomy_voxforge_path():
     return DATA_DIR / "taxonomy_voxforge.tsv"
+
+
+@pytest.fixture
+def corrupt_backward(monkeypatch):
+    """model_backward as the gradient audit sees it, with 1 added to the head.b gradient."""
+    real = diagnostics.model_backward
+
+    def corrupted(model, cache):
+        grads = real(model, cache)
+        grads["head.b"] = grads["head.b"] + 1.0
+        return grads
+
+    monkeypatch.setattr(diagnostics, "model_backward", corrupted)

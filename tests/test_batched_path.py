@@ -2,7 +2,8 @@
 
 A padded batch of N=3 utterances with valid lengths (T, T-3, 1) goes
 through each function once; every row must match the same function
-called on that utterance alone.
+called on that utterance alone, as an N=1 batch trimmed to its valid
+length.
 """
 
 import tracemalloc
@@ -50,9 +51,9 @@ def test_cross_entropy_rows_match_single_calls(batch):
     losses, grad = cross_entropy(logits, targets)
     assert losses.shape == (3,) and grad.shape == (3, K)
     for i in range(3):
-        loss_i, grad_i = cross_entropy(logits[i], int(targets[i]))
-        assert losses[i] == pytest.approx(loss_i, abs=1e-12)
-        assert np.max(np.abs(grad[i] - grad_i)) <= 1e-12
+        loss_i, grad_i = cross_entropy(logits[i : i + 1], targets[i : i + 1])
+        assert losses[i] == pytest.approx(loss_i[0], abs=1e-12)
+        assert np.max(np.abs(grad[i] - grad_i[0])) <= 1e-12
     with pytest.raises(IndexError):
         cross_entropy(logits, np.array([0, 5, 1]))
 
@@ -67,12 +68,13 @@ def test_backward_grads_are_sums_of_row_grads(batch):
 
     row_sums = {k: np.zeros_like(v) for k, v in {**head_grads, **sap_grads}.items()}
     for i, v in enumerate(VALID):
-        single = sap_forward(x[i, :, :v], params)
-        ge_i, hg_i = classify_backward(single.embedding, params, grad_logits[i])
-        gx_i, sg_i = sap_backward(single, x[i, :, :v], params, ge_i)
-        assert np.max(np.abs(logits[i] - classify(single.embedding, params))) <= 1e-12
-        assert np.max(np.abs(grad_e[i] - ge_i)) <= 1e-12
-        assert np.max(np.abs(grad_x[i, :, :v] - gx_i)) <= 1e-12
+        x_i = x[i : i + 1, :, :v]
+        single = sap_forward(x_i, params)
+        ge_i, hg_i = classify_backward(single.embedding, params, grad_logits[i : i + 1])
+        gx_i, sg_i = sap_backward(single, x_i, params, ge_i)
+        assert np.max(np.abs(logits[i] - classify(single.embedding, params)[0])) <= 1e-12
+        assert np.max(np.abs(grad_e[i] - ge_i[0])) <= 1e-12
+        assert np.max(np.abs(grad_x[i, :, :v] - gx_i[0])) <= 1e-12
         assert np.all(grad_x[i, :, v:] == 0.0)
         for k, g in {**hg_i, **sg_i}.items():
             row_sums[k] += g

@@ -239,8 +239,8 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert out.count("pass") == len(ALL_CHECKS) + 1  # one row per primitive plus composite
 
-    def test_corrupted_backward_nonzero_exit(self, capsys):
-        assert main(["gradcheck", "--seed", "1", "--corrupt"]) == 1
+    def test_corrupted_backward_nonzero_exit(self, corrupt_backward, capsys):
+        assert main(["gradcheck", "--seed", "1"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_config_option_is_gone(self):
@@ -344,6 +344,11 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
     renamed = edited_checkpoint("renamed.lidk", lambda h: h["tensors"][0].update(name="enc.renamed"))
     nul_manifest = tmp_path / "nul.jsonl"
     nul_manifest.write_text(json.dumps({"audio_filepath": "a\u0000b.wav", "label": "band0"}) + "\n")
+    empty_manifest = tmp_path / "empty.jsonl"
+    empty_manifest.write_text("")
+    negative_seed = tmp_path / "seed.json"
+    negative_seed.write_text(json.dumps({"train": {"seed": -3}}))
+    split = ["train", "--manifest", str(manifest), "--split", "0.75", "--out", str(tmp_path / "o")]
     evaluate = ["evaluate", "--checkpoint", str(checkpoint), "--config", str(tiny_config),
                 "--out", str(tmp_path / "eval")]
     return {
@@ -360,6 +365,13 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
         "featurize_nul_path": ["featurize", "--manifest", str(nul_manifest), "--out", str(tmp_path / "o")],
         # a negative fraction would train on a slice counted from the end
         "negative_split": ["train", "--manifest", str(manifest), "--split", "-0.5", "--out", str(tmp_path / "o")],
+        # np.random.default_rng raises ValueError on a negative seed
+        "train_negative_seed": split + ["--seed", "-1"],
+        "config_negative_seed": split + ["--config", str(negative_seed)],
+        "gradcheck_negative_seed": ["gradcheck", "--seed", "-1"],
+        # an empty manifest leaves nothing to predict
+        "predict_empty_manifest": ["predict", "--checkpoint", str(checkpoint), "--manifest", str(empty_manifest),
+                                   "--config", str(tiny_config), "--out", str(tmp_path / "pred.jsonl")],
     }
 
 
@@ -368,6 +380,7 @@ class TestErrors:
         "train_missing_manifest", "evaluate_missing_manifest", "featurize_missing_manifest",
         "missing_taxonomy", "taxonomy_without_trained_label", "predict_other_n_mels",
         "checkpoint_without_labels", "negative_split", "renamed_tensor", "featurize_nul_path",
+        "train_negative_seed", "config_negative_seed", "gradcheck_negative_seed", "predict_empty_manifest",
     ])
     def test_exits_2_with_one_error_line(self, case, tmp_path, corpus_dir, trained_dir, tiny_config, capsys):
         argv = _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config)[case]

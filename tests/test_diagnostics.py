@@ -20,6 +20,6 @@ def test_one_result_per_primitive():
     assert len({r.name for r in results}) == len(results)
 
 
-def test_corrupted_backward_detected():
-    result = check_composite(np.random.default_rng(0), corrupt=True)
+def test_corrupted_backward_detected(corrupt_backward):
+    result = check_composite(np.random.default_rng(0))
     assert not result.passed

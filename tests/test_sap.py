@@ -109,9 +109,9 @@ class TestSapForward:
 class TestSapBackward:
     def test_zero_grad_e(self):
         params = rand_params(3, 4, 2, seed=7)
-        x = np.random.default_rng(7).standard_normal((3, 5))
-        st_ = sap_forward(x, params)
-        gx, gp = sap_backward(st_, x, params, np.zeros(3))
+        x = np.random.default_rng(7).standard_normal((2, 3, 5))
+        st_ = sap_forward(x, params, valid_len=[5, 3])
+        gx, gp = sap_backward(st_, x, params, np.zeros((2, 3)))
         assert np.all(gx == 0)
         assert all(np.all(v == 0) for v in gp.values())
 
@@ -119,16 +119,17 @@ class TestSapBackward:
         rng = np.random.default_rng(8)
         for trial in range(5):
             c, t, d_att = 3, 5, 4
+            valid = [t - 1, 2]
             params = rand_params(c, d_att, 2, seed=int(rng.integers(1 << 30)))
-            x = rng.standard_normal((c, t))
-            probe = rng.standard_normal(c)
+            x = rng.standard_normal((2, c, t))
+            probe = rng.standard_normal((2, c))
             inputs = {"x": x, "sap.W": params["sap.W"], "sap.b": params["sap.b"], "sap.mu": params["sap.mu"]}
 
             def loss(d):
-                return float(np.dot(probe, sap_forward(d["x"], d, valid_len=t - 1).embedding))
+                return float(np.sum(probe * sap_forward(d["x"], d, valid_len=valid).embedding))
 
             def grads(d):
-                st_ = sap_forward(d["x"], d, valid_len=t - 1)
+                st_ = sap_forward(d["x"], d, valid_len=valid)
                 gx, gp = sap_backward(st_, d["x"], d, probe)
                 return {"x": gx, **gp}
 
@@ -136,29 +137,30 @@ class TestSapBackward:
 
     def test_single_frame_gradient(self):
         params = rand_params(2, 3, 2, seed=9)
-        x = np.random.default_rng(9).standard_normal((2, 1))
-        probe = np.array([1.0, -2.0])
+        x = np.random.default_rng(9).standard_normal((1, 2, 1))
+        probe = np.array([[1.0, -2.0]])
 
         def loss(d):
-            return float(np.dot(probe, sap_forward(d["x"], params, valid_len=1).embedding))
+            return float(np.sum(probe * sap_forward(d["x"], params, valid_len=[1]).embedding))
 
         def grads(d):
-            st_ = sap_forward(d["x"], params, valid_len=1)
+            st_ = sap_forward(d["x"], params, valid_len=[1])
             gx, _ = sap_backward(st_, d["x"], params, probe)
             return {"x": gx}
 
         assert finite_diff_check(loss, grads, {"x": x}) <= 1e-3
-        st_ = sap_forward(x, params, valid_len=1)
+        st_ = sap_forward(x, params, valid_len=[1])
         gx, _ = sap_backward(st_, x, params, probe)
         # the attention path contributes nothing when only one frame exists
-        assert np.allclose(gx[:, 0], probe)
+        assert np.allclose(gx[:, :, 0], probe)
 
     def test_padded_positions_get_zero_gradient(self):
         params = rand_params(3, 4, 2, seed=10)
-        x = np.random.default_rng(10).standard_normal((3, 6))
-        st_ = sap_forward(x, params, valid_len=4)
-        gx, _ = sap_backward(st_, x, params, np.ones(3))
-        assert np.all(gx[:, 4:] == 0)
+        x = np.random.default_rng(10).standard_normal((2, 3, 6))
+        st_ = sap_forward(x, params, valid_len=[4, 2])
+        gx, _ = sap_backward(st_, x, params, np.ones((2, 3)))
+        assert np.all(gx[0, :, 4:] == 0) and np.all(gx[1, :, 2:] == 0)
+        assert np.all(gx[0, :, :4] != 0) and np.all(gx[1, :, :2] != 0)
 
 
 class TestClassify:
@@ -187,12 +189,12 @@ class TestClassify:
 
     def test_backward_finite_difference(self):
         rng = np.random.default_rng(12)
-        inputs = {"e": rng.standard_normal(4), "head.W": rng.standard_normal((3, 4)),
+        inputs = {"e": rng.standard_normal((2, 4)), "head.W": rng.standard_normal((3, 4)),
                   "head.b": rng.standard_normal(3)}
-        probe = rng.standard_normal(3)
+        probe = rng.standard_normal((2, 3))
 
         def loss(d):
-            return float(np.dot(probe, classify(d["e"], d)))
+            return float(np.sum(probe * classify(d["e"], d)))
 
         def grads(d):
             ge, gp = classify_backward(d["e"], d, probe)
@@ -203,38 +205,37 @@ class TestClassify:
 
 class TestCrossEntropy:
     def test_uniform_logits_23_classes(self):
-        loss, _ = cross_entropy(np.zeros(23), 0)
-        assert loss == pytest.approx(math.log(23), abs=1e-4)
-        assert loss == pytest.approx(3.1355, abs=1e-3)
+        loss, _ = cross_entropy(np.zeros((1, 23)), [0])
+        assert loss[0] == pytest.approx(math.log(23), abs=1e-4)
+        assert loss[0] == pytest.approx(3.1355, abs=1e-3)
 
     def test_confident_correct_near_zero(self):
-        loss, _ = cross_entropy(np.array([10.0, -10.0]), 0)
+        loss, _ = cross_entropy(np.array([[10.0, -10.0]]), [0])
         # log(1 + exp(-20)) evaluated at 64-bit
-        assert loss == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-6)
-        assert loss == pytest.approx(2.061e-9, rel=1e-2)
+        assert loss[0] == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-6)
+        assert loss[0] == pytest.approx(2.061e-9, rel=1e-2)
 
     def test_grad_sums_to_zero(self):
         rng = np.random.default_rng(13)
-        for _ in range(50):
-            logits = rng.standard_normal(7) * 5
-            _, grad = cross_entropy(logits, int(rng.integers(0, 7)))
-            assert abs(grad.sum()) <= 1e-6
+        logits = rng.standard_normal((50, 7)) * 5
+        _, grad = cross_entropy(logits, rng.integers(0, 7, size=50))
+        assert np.max(np.abs(grad.sum(axis=1))) <= 1e-6
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            cross_entropy(np.zeros(3), 3)
+            cross_entropy(np.zeros((2, 3)), [0, 3])
         with pytest.raises(IndexError):
-            cross_entropy(np.zeros(3), -1)
+            cross_entropy(np.zeros((2, 3)), [-1, 0])
 
     def test_extreme_logits_stay_finite(self):
-        loss, grad = cross_entropy(np.array([1e4, -1e4, 0.0]), 1)
-        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        loss, grad = cross_entropy(np.array([[1e4, -1e4, 0.0]]), [1])
+        assert np.all(np.isfinite(loss)) and np.all(np.isfinite(grad))
 
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_grad_is_softmax_minus_onehot(self, vals):
         logits = np.array(vals)
-        _, grad = cross_entropy(logits, 0)
+        _, grad = cross_entropy(logits[None], [0])
         expected = softmax(logits)
         expected[0] -= 1.0
-        assert np.max(np.abs(grad - expected)) <= 1e-9
+        assert np.max(np.abs(grad[0] - expected)) <= 1e-9

@@ -7,7 +7,7 @@ from lidkit import tensor_ops as T
 
 
 def naive_depthwise(x, kernels):
-    """Triple-loop reference: zero same-padding, stride 1."""
+    """Triple-loop reference for one (C, T) utterance: zero same-padding, stride 1."""
     c, t = x.shape
     _, k = kernels.shape
     half = k // 2
@@ -40,6 +40,7 @@ def naive_depthwise_backward(g, x, kernels):
 
 
 def naive_pointwise(x, w, b):
+    """Triple-loop reference for one (Cin, T) utterance."""
     cin, t = x.shape
     cout = w.shape[0]
     out = np.zeros((cout, t), dtype=x.dtype)
@@ -53,22 +54,22 @@ def naive_pointwise(x, w, b):
 
 class TestDepthwiseConv:
     def test_k1_identity_kernel(self):
-        x = np.arange(12, dtype=np.float64).reshape(2, 6)
+        x = np.arange(24, dtype=np.float64).reshape(2, 2, 6)
         out = T.conv1d_depthwise(x, np.ones((2, 1)))
         assert np.array_equal(out, x)
 
     def test_centered_delta(self):
-        x = np.array([[1.0, 2.0, 3.0]])
+        x = np.array([[[1.0, 2.0, 3.0]]])
         out = T.conv1d_depthwise(x, np.array([[0.0, 1.0, 0.0]]))
         assert np.array_equal(out, x)
 
     def test_even_kernel_rejected(self):
-        with pytest.raises(T.ShapeError):
-            T.conv1d_depthwise(np.zeros((2, 5)), np.zeros((2, 4)))
+        with pytest.raises(T.ShapeError, match="must be odd"):
+            T.conv1d_depthwise(np.zeros((1, 2, 5)), np.zeros((2, 4)))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(T.ShapeError):
-            T.conv1d_depthwise(np.zeros((2, 5)), np.zeros((3, 3)))
+            T.conv1d_depthwise(np.zeros((1, 2, 5)), np.zeros((3, 3)))
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(0)
@@ -76,9 +77,10 @@ class TestDepthwiseConv:
             c = int(rng.integers(1, 9))
             t = int(rng.integers(1, 33))
             k = int(rng.choice([1, 3, 5, 7]))
-            x = rng.standard_normal((c, t))
+            x = rng.standard_normal((2, c, t))
             kernels = rng.standard_normal((c, k))
-            assert np.max(np.abs(T.conv1d_depthwise(x, kernels) - naive_depthwise(x, kernels))) <= 1e-6
+            want = np.stack([naive_depthwise(xi, kernels) for xi in x])
+            assert np.max(np.abs(T.conv1d_depthwise(x, kernels) - want)) <= 1e-6
 
 
 class TestDepthwiseConvFFT:
@@ -127,19 +129,19 @@ class TestDepthwiseConvFFT:
 
 class TestPointwiseConv:
     def test_identity_weights(self):
-        x = np.random.default_rng(1).standard_normal((3, 5))
+        x = np.random.default_rng(1).standard_normal((2, 3, 5))
         out = T.conv1d_pointwise(x, np.eye(3), np.zeros(3))
         assert np.allclose(out, x)
 
     def test_column_sums(self):
         out = T.conv1d_pointwise(
-            np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, 1.0]]), np.zeros(1)
+            np.array([[[1.0, 2.0], [3.0, 4.0]]]), np.array([[1.0, 1.0]]), np.zeros(1)
         )
-        assert np.array_equal(out, np.array([[4.0, 6.0]]))
+        assert np.array_equal(out, np.array([[[4.0, 6.0]]]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(T.ShapeError):
-            T.conv1d_pointwise(np.zeros((3, 5)), np.zeros((2, 4)), np.zeros(2))
+            T.conv1d_pointwise(np.zeros((1, 3, 5)), np.zeros((2, 4)), np.zeros(2))
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(2)
@@ -147,10 +149,22 @@ class TestPointwiseConv:
             cin = int(rng.integers(1, 9))
             cout = int(rng.integers(1, 9))
             t = int(rng.integers(1, 33))
-            x = rng.standard_normal((cin, t))
+            x = rng.standard_normal((2, cin, t))
             w = rng.standard_normal((cout, cin))
             b = rng.standard_normal(cout)
-            assert np.max(np.abs(T.conv1d_pointwise(x, w, b) - naive_pointwise(x, w, b))) <= 1e-6
+            want = np.stack([naive_pointwise(xi, w, b) for xi in x])
+            assert np.max(np.abs(T.conv1d_pointwise(x, w, b) - want)) <= 1e-6
+
+
+def test_unbatched_input_rejected():
+    # square (C, T) inputs whose channels match, so only the (N, C, T) check can refuse them
+    x, kernels = np.zeros((3, 3)), np.zeros((3, 3))
+    with pytest.raises(T.ShapeError, match=r"\(N, 3, T\)"):
+        T.conv1d_depthwise(x, kernels)
+    with pytest.raises(T.ShapeError, match=r"\(N, 3, T\)"):
+        T.conv1d_depthwise_backward(x, x, kernels)
+    with pytest.raises(T.ShapeError):
+        T.conv1d_pointwise(x, np.zeros((2, 3)), np.zeros(2))
 
 
 def test_separable_composition_equals_full_conv():
@@ -162,7 +176,7 @@ def test_separable_composition_equals_full_conv():
         dw = rng.standard_normal((cin, k))
         pw = rng.standard_normal((cout, cin))
         b = rng.standard_normal(cout)
-        got = T.conv1d_pointwise(T.conv1d_depthwise(x, dw), pw, b)
+        got = T.conv1d_pointwise(T.conv1d_depthwise(x[None], dw), pw, b)[0]
 
         half = k // 2
         expected = np.zeros((cout, t))

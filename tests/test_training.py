@@ -197,15 +197,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="not a LIDK"):
             load_checkpoint(path)
 
-    def test_mismatched_encoder_config(self, tmp_path):
-        model = toy_model(seed=8)
-        path = tmp_path / "m.lidk"
-        save_checkpoint(model, path)
-        other = EncoderConfig(channels=(4,), kernel_sizes=(3,), sub_blocks=1, input_dim=8,
-                              out_channels=6)
-        with pytest.raises(CheckpointError, match="does not match"):
-            load_checkpoint(path, expect_encoder=other)
-
 
 class TestTrainLoop:
     def test_two_seeded_runs_bit_identical(self):
