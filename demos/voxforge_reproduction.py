@@ -14,11 +14,11 @@ Recipe
 3. Train the full-size configuration (15 blocks x 5 sub-blocks,
    512 channels) with the config below.  Measured on 2 vCPU (numpy
    2.4.6, OpenBLAS 0.3.31), one training step of this encoder on two
-   clips of 1.5 and 2 s takes 2.7-3.0 s: ~120 frames/s at 1.1 GB peak
-   RSS.  At that rate one epoch of 7,200 clips of 5 s each (3.6 M
-   frames) takes ~8 h, and the config's 100 epochs about a month.
-   Its batch of 16 clips needs far more activation memory than such a
-   two-clip step; see ROADMAP.md.
+   clips of 1.5 and 2 s takes 1.4 s (3.2 s when the machine ran ~2x
+   slower): ~240 frames/s at 786 MB peak RSS.  At that rate one epoch
+   of 7,200 clips of 5 s each (3.6 M frames) takes ~4 h, and the
+   config's 100 epochs about 17 days.  Its batch of 16 clips needs far
+   more activation memory than such a two-clip step; see ROADMAP.md.
 
 4. Evaluate against data/taxonomy_voxforge.tsv.  A successful run lands
    around 90% language-level validation accuracy, with the residual

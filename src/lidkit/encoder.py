@@ -179,10 +179,14 @@ def encoder_forward(
 
     When some valid_lens[i] < T, frames at t >= valid_lens[i] are zeroed
     after every layer so that padding cannot leak into valid positions
-    through the convolutions.  Train mode's cache holds every layer's
-    inputs, batch-norm cache, pre-ReLU sum and dropout mask.  Eval mode
-    is inference only: it keeps no cache and returns None in its place,
-    so each layer's arrays are freed once the next layer has read them.
+    through the convolutions.  Train mode's cache holds, per layer, what
+    its adjoint reads: the input, the depthwise output, batch norm's xhat,
+    the dropout mask and the output h, from whose sign the ReLU adjoint
+    reads.  Each h is the next layer's input (the epilogue's is the
+    returned frames), so it costs no bytes of its own.  encoder_backward
+    consumes the cache.  Eval mode is inference only: it keeps no cache
+    and returns None in its place, so each layer's arrays are freed once
+    the next layer has read them.
     """
     if x.ndim != 3 or x.shape[1] != cfg.input_dim:
         raise ShapeError(f"expected (N, {cfg.input_dim}, T) input, got {x.shape}")
@@ -207,23 +211,34 @@ def encoder_forward(
             if mask is not None:
                 h = h * mask
             if train:
-                layer_caches.append((conv_cache, pre, drop_mask))
+                layer_caches.append((conv_cache, h, drop_mask))
         if train:
             caches.append((layer_caches, skip_cache))
     return h, ((caches, mask, cfg.dropout_rate) if train else None)
 
 
 def encoder_backward(params: dict[str, np.ndarray], cache, grad_out: np.ndarray):
-    """Exact adjoint of a train-mode encoder_forward; returns (grad_input, grads dict)."""
+    """Exact adjoint of a train-mode encoder_forward; returns (grad_input, grads dict).
+
+    Consumes the cache: each layer's entry is popped, and its arrays
+    freed, once its adjoint has run, so the gradients grow as the cache
+    shrinks.  A second call on the same cache raises RuntimeError.
+    """
     caches, mask, rate = cache
+    if not caches:
+        raise RuntimeError("the encoder cache was already consumed by a backward pass")
     grads: dict[str, np.ndarray] = {}
     grad = grad_out
-    for layer_caches, skip_cache in reversed(caches):
+    while caches:
+        layer_caches, skip_cache = caches.pop()
         grad_skip = None
-        for conv_cache, pre, drop_mask in reversed(layer_caches):
+        while layer_caches:
+            conv_cache, h, drop_mask = layer_caches.pop()
             if mask is not None:
                 grad = grad * mask
-            grad = relu_backward(dropout_backward(grad, drop_mask, rate), pre)
+            # where the mask and keep are 1, h > 0 exactly where the pre-ReLU sum is;
+            # elsewhere the gradient is already +-0 or NaN
+            grad = relu_backward(dropout_backward(grad, drop_mask, rate), h)
             if grad_skip is None:  # the last layer comes first: its pre-ReLU grad feeds the skip
                 grad_skip = grad
             grad = _conv_bn_backward(grad, conv_cache, params, grads)

@@ -98,7 +98,9 @@ def model_backward(model: Model, cache) -> dict[str, np.ndarray]:
     """Gradients of the mean cross-entropy; call after a train-mode forward with targets.
 
     Returns one gradient per ``model.params`` key, plus the gradient with
-    respect to the input batch x under ``"input"``.
+    respect to the input batch x under ``"input"``.  Consumes the encoder
+    cache, freeing each layer's arrays as its adjoint finishes; a second
+    call on the same cache raises RuntimeError.
     """
     frames, enc_cache, sap_state, grad_logits = cache
     if grad_logits is None:

@@ -125,6 +125,14 @@ BN_MOMENTUM = 0.1
 BN_EPSILON = 1e-5
 
 
+def _into(buf: np.ndarray, *operands):
+    """``buf`` as the out= of an op on ``operands`` when the op yields buf's dtype, else None.
+
+    Written in place only then, each step rounds as it would out of place.
+    """
+    return buf if np.result_type(*operands) == buf.dtype else None
+
+
 def batch_norm_1d(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -140,9 +148,10 @@ def batch_norm_1d(
     place, keeping their dtype; eval mode only reads them.  ``mask``
     (N, 1, T; 1 = valid) restricts the statistics to valid frames so zero
     padding cannot bias them.  Returns (out, cache); pass a train-mode
-    cache to batch_norm_1d_backward.  Eval mode is inference only: it
-    builds gamma * ((x - mean) * inv_std) + beta in one buffer, one ufunc
-    at a time, and returns None as its cache.
+    cache to batch_norm_1d_backward.  Both modes build
+    gamma * ((x - mean) * inv_std) + beta one ufunc at a time, in as few
+    buffers as the dtypes allow: eval in one, train in two besides the
+    cached xhat.  Eval mode is inference only and returns None as its cache.
     """
     if x.ndim != 3:
         raise ShapeError("batch_norm_1d expects (N, C, T)")
@@ -150,8 +159,7 @@ def batch_norm_1d(
         inv_std = 1.0 / np.sqrt(running_var + BN_EPSILON)
         out = x - running_mean[None, :, None]
         for op, v in ((np.multiply, inv_std), (np.multiply, gamma), (np.add, beta)):
-            # in place unless v widens the dtype, so each step rounds as it would out of place
-            out = op(out, v[None, :, None], out=out if np.result_type(out, v) == out.dtype else None)
+            out = op(out, v[None, :, None], out=_into(out, out, v))
         return out, None
     if mode != "train":
         raise ValueError(f"unknown mode {mode!r}")
@@ -159,34 +167,40 @@ def batch_norm_1d(
     count = float(n * t) if mask is None else float(mask.sum())
     if count < 2:
         raise ShapeError("train-mode batch norm needs at least 2 values per channel")
-    if mask is None:
-        mean = x.mean(axis=(0, 2))
-        var = x.var(axis=(0, 2))
-    else:
-        mean = np.sum(x * mask, axis=(0, 2)) / count
-        var = np.sum(mask * (x - mean[None, :, None]) ** 2, axis=(0, 2)) / count
+    mean = x.mean(axis=(0, 2)) if mask is None else np.sum(x * mask, axis=(0, 2)) / count
+    d = x - mean[None, :, None]
+    scratch = np.square(d)
+    if mask is not None:
+        scratch = np.multiply(mask, scratch, out=_into(scratch, mask, scratch))
+    var = np.sum(scratch, axis=(0, 2)) / count  # without a mask, x.var's value for counts below 2**24
     m = BN_MOMENTUM
     running_mean[...] = (1 - m) * running_mean + m * mean
     running_var[...] = (1 - m) * running_var + m * var
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-    out = gamma[None, :, None] * xhat + beta[None, :, None]
+    xhat = np.multiply(d, inv_std[None, :, None], out=_into(d, d, inv_std))
+    out = np.multiply(gamma[None, :, None], xhat, out=_into(scratch, gamma, xhat))
+    out = np.add(out, beta[None, :, None], out=_into(out, out, beta))
     return out, (xhat, inv_std, gamma, mask, count)
 
 
 def batch_norm_1d_backward(grad_out: np.ndarray, cache):
-    """Adjoint of train mode; expects grad_out to be zero at masked-out positions."""
+    """Adjoint of train mode; expects grad_out to be zero at masked-out positions.
+
+    grad_x = g * (grad_out - grad_beta / count - xhat * grad_gamma / count),
+    built in its own buffer plus one scratch buffer.
+    """
     xhat, inv_std, gamma, mask, count = cache
-    grad_gamma = np.sum(grad_out * xhat, axis=(0, 2))
+    scratch = grad_out * xhat
+    grad_gamma = np.sum(scratch, axis=(0, 2))
     grad_beta = np.sum(grad_out, axis=(0, 2))
     g = gamma[None, :, None] * inv_std[None, :, None]
-    grad_x = g * (
-        grad_out
-        - grad_beta[None, :, None] / count
-        - xhat * grad_gamma[None, :, None] / count
-    )
+    grad_x = grad_out - grad_beta[None, :, None] / count
+    scratch = np.multiply(xhat, grad_gamma[None, :, None], out=_into(scratch, xhat, grad_gamma))
+    scratch /= count
+    grad_x = np.subtract(grad_x, scratch, out=_into(grad_x, grad_x, scratch))
+    grad_x = np.multiply(g, grad_x, out=_into(grad_x, g, grad_x))
     if mask is not None:
-        grad_x = grad_x * mask
+        grad_x = np.multiply(grad_x, mask, out=_into(grad_x, grad_x, mask))
     return grad_x, grad_gamma, grad_beta
 
 

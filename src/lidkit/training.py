@@ -63,6 +63,11 @@ class TrainConfig:
             raise TrainError("batch_size must be >= 2 (batch-norm precondition)")
         if self.seed < 0:
             raise TrainError(f"seed must be >= 0, got {self.seed}")
+        # a value of another type is left to the run config's check, whose message names the type
+        if is_int(self.patience) and self.patience < 0:
+            raise TrainError(f"patience must be >= 0, got {self.patience}")
+        if is_int(self.total_steps) and self.total_steps < 1:
+            raise TrainError(f"total_steps must be >= 1 or null, got {self.total_steps}")
 
 
 def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float) -> float:
@@ -243,6 +248,7 @@ def train(
             _, loss, cache = model_forward(model, x, valid, targets=targets, mode="train", rng=step_rng)
             grads = model_backward(model, cache)
             sgd_step(model.params, grads, lr)
+            del grads, cache  # so the next forward runs without this step's gradients alive
             model.step += 1
             epoch_loss += loss
 

@@ -11,10 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lidkit.encoder
 from lidkit.encoder import EncoderConfig
 from lidkit.features import FeatureMap
 from lidkit.model import batch_from_features, build_model, model_backward, model_forward, predict
 from lidkit.sap import classify, classify_backward, cross_entropy, init_sap_params, sap_backward, sap_forward
+from lidkit.tensor_ops import relu
 
 T = 7
 VALID = np.array([T, T - 3, 1])
@@ -98,14 +100,20 @@ def test_eval_model_forward_matches_predict():
     x, valid = batch_from_features(maps)
     logits, loss, cache = model_forward(model, x, valid, mode="eval")
     assert loss is None and logits.shape == (3, 3) and logits.dtype == np.float32
+    tol = 1e-5
+
+    def close(what, i, a, b):
+        diff = np.max(np.abs(a - b))
+        assert diff <= tol, f"row {i} {what}: max |diff| {diff:.3g} > tol {tol:g}; batched {a}, single {b}"
+
     for i, fm in enumerate(maps):
         label, posterior, attention = predict(model, fm)
         single_logits, _, _ = model_forward(model, *batch_from_features([fm]), mode="eval")
-        assert np.max(np.abs(logits[i] - single_logits[0])) <= 1e-5
+        close("logits", i, logits[i], single_logits[0])
         z = np.exp(logits[i] - logits[i].max())
-        assert np.max(np.abs(z / z.sum() - posterior)) <= 1e-5
-        assert label == model.labels[int(np.argmax(logits[i]))]
-        assert np.max(np.abs(cache[2].weights[i, : fm.n_frames] - attention)) <= 1e-5
+        close("posterior", i, z / z.sum(), posterior)
+        assert label == model.labels[int(np.argmax(logits[i]))], f"row {i}: {label} for logits {logits[i]}"
+        close("attention", i, cache[2].weights[i, : fm.n_frames], attention)
 
 
 def test_model_backward_returns_params_and_input_grads():
@@ -128,6 +136,73 @@ def test_backward_after_eval_forward_refused():
     assert loss is not None and cache[1] is None
     with pytest.raises(RuntimeError, match="train-mode forward"):
         model_backward(model, cache)
+
+
+def _dropout_model():
+    cfg = EncoderConfig(channels=(16, 16), kernel_sizes=(3, 5), sub_blocks=2, input_dim=6, out_channels=4,
+                        dropout_rate=0.1)
+    model = build_model(cfg, ["a", "b", "c"], seed=8, d_att=3)
+    rng = np.random.default_rng(9)
+    for k, v in model.params.items():
+        if k.endswith((".bn.gamma", ".bn.beta")):  # else the batch-norm output equals its xhat
+            v[...] = rng.standard_normal(v.shape)
+    return model
+
+
+def _train_forward(model, t=300):
+    x = np.random.default_rng(10).standard_normal((3, 6, t)).astype(np.float32)
+    return model_forward(model, x, [t, t - t // 4, t // 2], targets=[0, 2, 1], mode="train",
+                         rng=np.random.default_rng(11))
+
+
+def test_backward_frees_the_encoder_cache():
+    model = _dropout_model()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, _, cache = _train_forward(model)
+        at_forward = tracemalloc.get_traced_memory()[0] - base
+        grads = model_backward(model, cache)
+        del grads
+        after_backward = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # what is left is the encoder's output frames, the pooling state and the padding mask
+    assert after_backward < 0.1 * at_forward, (at_forward, after_backward)
+
+
+def test_second_backward_on_one_cache_refused():
+    model = _dropout_model()
+    _, _, cache = _train_forward(model, t=20)
+    model_backward(model, cache)
+    with pytest.raises(RuntimeError, match="already consumed"):
+        model_backward(model, cache)
+
+
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+
+
+def test_train_cache_holds_no_pre_relu_sum(monkeypatch):
+    model = _dropout_model()
+    pres = []
+
+    def recording_relu(x):
+        pres.append(x.copy())
+        return relu(x)
+
+    monkeypatch.setattr(lidkit.encoder, "relu", recording_relu)
+    _, _, cache = _train_forward(model, t=20)
+    entries = [entry for layer_caches, _ in cache[1][0] for entry in layer_caches]
+    assert len(entries) == len(pres) == 6  # prologue, 2 x 2 sub-blocks, epilogue
+    for pre, entry in zip(pres, entries):
+        arrays = list(_arrays(entry))
+        assert len(arrays) >= 4
+        assert not any(np.array_equal(a, pre) for a in arrays)
 
 
 def _eval_forward_peak_bytes(blocks: int) -> int:

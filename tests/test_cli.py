@@ -348,6 +348,10 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
     empty_manifest.write_text("")
     negative_seed = tmp_path / "seed.json"
     negative_seed.write_text(json.dumps({"train": {"seed": -3}}))
+    negative_patience = tmp_path / "patience.json"
+    negative_patience.write_text(json.dumps({"train": {"epochs": 4, "batch_size": 4, "patience": -1}}))
+    zero_total_steps = tmp_path / "total_steps.json"
+    zero_total_steps.write_text(json.dumps({"train": {"total_steps": 0}}))
     split = ["train", "--manifest", str(manifest), "--split", "0.75", "--out", str(tmp_path / "o")]
     evaluate = ["evaluate", "--checkpoint", str(checkpoint), "--config", str(tiny_config),
                 "--out", str(tmp_path / "eval")]
@@ -368,6 +372,9 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
         # np.random.default_rng raises ValueError on a negative seed
         "train_negative_seed": split + ["--seed", "-1"],
         "config_negative_seed": split + ["--config", str(negative_seed)],
+        # a negative patience used to stop training after the first epoch, and exit 0
+        "config_negative_patience": split + ["--config", str(negative_patience)],
+        "config_zero_total_steps": split + ["--config", str(zero_total_steps)],
         "gradcheck_negative_seed": ["gradcheck", "--seed", "-1"],
         # an empty manifest leaves nothing to predict
         "predict_empty_manifest": ["predict", "--checkpoint", str(checkpoint), "--manifest", str(empty_manifest),
@@ -381,6 +388,7 @@ class TestErrors:
         "missing_taxonomy", "taxonomy_without_trained_label", "predict_other_n_mels",
         "checkpoint_without_labels", "negative_split", "renamed_tensor", "featurize_nul_path",
         "train_negative_seed", "config_negative_seed", "gradcheck_negative_seed", "predict_empty_manifest",
+        "config_negative_patience", "config_zero_total_steps",
     ])
     def test_exits_2_with_one_error_line(self, case, tmp_path, corpus_dir, trained_dir, tiny_config, capsys):
         argv = _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config)[case]

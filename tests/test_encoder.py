@@ -218,6 +218,36 @@ class TestBackward:
         err = finite_diff_check(loss, grads, {"x": x, **params})
         assert err <= 1e-3
 
+    def test_finite_difference_with_dropout_and_padding(self):
+        # the ReLU adjoint reads its sign from the layer output after dropout and
+        # the mask; a fresh rng of the same seed keeps the dropout mask fixed
+        cfg = tiny_cfg(dropout_rate=0.1)
+        params, _ = build_encoder(cfg, seed=8, dtype=np.float64)
+        x = np.random.default_rng(8).standard_normal((3, 5, 6))
+        valid = [6, 4, 2]
+        probe = np.random.default_rng(9).standard_normal((3, cfg.out_channels, 6))
+
+        def forward(d):
+            p = {k: v for k, v in d.items() if k != "x"}
+            _, state = build_encoder(cfg, seed=8, dtype=np.float64)
+            out, cache = encoder_forward(cfg, p, state, d["x"], mode="train",
+                                         rng=np.random.default_rng(10), valid_lens=valid)
+            return p, out, cache
+
+        def loss(d):
+            return float(np.sum(probe * forward(d)[1]))
+
+        def grads(d):
+            p, _, cache = forward(d)
+            gx, gp = encoder_backward(p, cache, probe)
+            return {"x": gx, **gp}
+
+        _, _, cache = forward({"x": x, **params})
+        keeps = [keep for layer_caches, _ in cache[0] for _, _, keep in layer_caches if keep is not None]
+        assert keeps and not all(np.all(k) for k in keeps)  # some unit is dropped
+        err = finite_diff_check(loss, grads, {"x": x, **params})
+        assert err <= 1e-3
+
     def test_deep_config_input_gradient_nonzero(self):
         cfg = EncoderConfig(channels=(4, 4, 4, 4, 4), kernel_sizes=(3, 3, 3, 3, 3),
                             sub_blocks=2, input_dim=5, out_channels=6)

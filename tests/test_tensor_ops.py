@@ -241,6 +241,47 @@ class TestBatchNorm:
         assert out.dtype == want.dtype and np.array_equal(out, want)
         assert not np.shares_memory(out, x)
 
+    @pytest.mark.parametrize("x_dtype, affine_dtype, grad_dtype, mask_dtype", [
+        (np.float32, np.float32, np.float32, None), (np.float64, np.float64, np.float64, None),
+        (np.float32, np.float32, np.float64, None), (np.float64, np.float32, np.float64, np.float32),
+        (np.float32, np.float32, np.float64, np.float32), (np.float32, np.float64, np.float32, None),
+        (np.float32, np.float64, np.float32, np.float64)])
+    def test_train_bit_identical_to_formula(self, x_dtype, affine_dtype, grad_dtype, mask_dtype):
+        rng = np.random.default_rng(10)
+        x = (rng.standard_normal((3, 5, 33)) * 3 + 1).astype(x_dtype)
+        gamma, beta = rng.standard_normal((2, 5)).astype(affine_dtype)
+        grad_out = rng.standard_normal(x.shape).astype(grad_dtype)
+        mask = None
+        if mask_dtype is not None:
+            mask = (np.arange(33) < np.array([33, 20, 7])[:, None, None]).astype(mask_dtype)
+            grad_out = (grad_out * mask).astype(grad_dtype)
+        stats = [np.zeros(5, x_dtype), np.ones(5, x_dtype)]
+        out, cache = T.batch_norm_1d(x, gamma, beta, *stats, "train", mask=mask)
+        grads = T.batch_norm_1d_backward(grad_out, cache)
+
+        # the textbook formulas, one fresh array per step
+        if mask is None:
+            count, mean, var = float(x.size // 5), x.mean(axis=(0, 2)), x.var(axis=(0, 2))
+        else:
+            count = float(mask.sum())
+            mean = np.sum(x * mask, axis=(0, 2)) / count
+            var = np.sum(mask * (x - mean[None, :, None]) ** 2, axis=(0, 2)) / count
+        inv_std = 1.0 / np.sqrt(var + T.BN_EPSILON)
+        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+        want_out = gamma[None, :, None] * xhat + beta[None, :, None]
+        grad_gamma = np.sum(grad_out * xhat, axis=(0, 2))
+        grad_beta = np.sum(grad_out, axis=(0, 2))
+        grad_x = (gamma[None, :, None] * inv_std[None, :, None]) * (
+            grad_out - grad_beta[None, :, None] / count - xhat * grad_gamma[None, :, None] / count)
+        if mask is not None:
+            grad_x = grad_x * mask
+        want_stats = [(0.9 * np.zeros(5, x_dtype) + 0.1 * mean).astype(x_dtype),
+                      (0.9 * np.ones(5, x_dtype) + 0.1 * var).astype(x_dtype)]
+        for got, want in zip((out, cache[0], *grads, *stats),
+                             (want_out, xhat, grad_x, grad_gamma, grad_beta, *want_stats)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not np.shares_memory(out, x) and not np.shares_memory(grads[0], grad_out)
+
     def test_tiny_batch_rejected_in_train(self):
         with pytest.raises(T.ShapeError):
             T.batch_norm_1d(np.zeros((1, 2, 1)), *bn_args(2), "train")
