@@ -77,7 +77,7 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / "config.json"
     cfg_path.write_text(json.dumps(FULL_CONFIG, indent=2))
-    print("WARNING: full-size training takes ~8 h per epoch of 7,200 5 s clips on 2 CPU cores.")
+    print("WARNING: full-size training takes ~4 h per epoch of 7,200 5 s clips on 2 CPU cores.")
 
     taxonomy = Path(__file__).resolve().parent.parent / "data" / "taxonomy_voxforge.tsv"
     steps = [

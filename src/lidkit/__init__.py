@@ -6,46 +6,3 @@ pooling -> linear classifier trained with cross-entropy, SGD and a
 cosine-annealed learning rate.  Every layer ships its own analytic
 backward pass, verified against finite differences.
 """
-
-from lidkit.audio import AudioClip, decode_wav
-from lidkit.features import FeatureConfig, FeatureMap, compute_mfsc, mel_filterbank
-from lidkit.encoder import EncoderConfig, build_encoder, encoder_backward, encoder_forward
-from lidkit.sap import SapForwardState, classify, cross_entropy, init_sap_params, sap_backward, sap_forward
-from lidkit.augment import AugmentConfig, apply_specaugment
-from lidkit.model import Model, build_model
-from lidkit.training import TrainConfig, cosine_lr, load_checkpoint, save_checkpoint, sgd_step, train
-from lidkit.evaluation import ConfusionMatrix, Taxonomy, confusion, rollup, top1_accuracy
-
-__all__ = [
-    "AudioClip",
-    "decode_wav",
-    "FeatureConfig",
-    "FeatureMap",
-    "compute_mfsc",
-    "mel_filterbank",
-    "EncoderConfig",
-    "build_encoder",
-    "encoder_forward",
-    "encoder_backward",
-    "SapForwardState",
-    "init_sap_params",
-    "sap_forward",
-    "sap_backward",
-    "classify",
-    "cross_entropy",
-    "AugmentConfig",
-    "apply_specaugment",
-    "Model",
-    "build_model",
-    "TrainConfig",
-    "cosine_lr",
-    "sgd_step",
-    "train",
-    "save_checkpoint",
-    "load_checkpoint",
-    "ConfusionMatrix",
-    "Taxonomy",
-    "top1_accuracy",
-    "rollup",
-    "confusion",
-]

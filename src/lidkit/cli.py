@@ -24,6 +24,7 @@ from lidkit.training import (
     CheckpointError,
     TrainConfig,
     TrainError,
+    check_fields,
     is_int,
     load_checkpoint,
     save_checkpoint,
@@ -51,8 +52,8 @@ _SECTIONS = {"features": FeatureConfig, "encoder": EncoderConfig, "augment": Aug
 def load_run_config(path: str | Path | None) -> dict:
     """Read and validate a run config; an unreadable or invalid one raises CliError.
 
-    Every key must be known and every integer field must hold integers: a
-    JSON float or string there would otherwise fail deep inside training.
+    Every key must be known, and every field must hold the JSON type its
+    annotation accepts (``training.check_fields``) before its config is built.
     """
     doc = {}
     try:
@@ -66,17 +67,13 @@ def load_run_config(path: str | Path | None) -> dict:
         d_att = doc.get("d_att", D_ATT_DEFAULT)
         if not is_int(d_att) or d_att < 1:
             raise CliError(f"run config {path}: d_att must be an integer >= 1, got {d_att!r}")
+        for name, cls in _SECTIONS.items():
+            check_fields(cls, doc.get(name, {}), name)
         cfg = {name: cls(**doc.get(name, {})) for name, cls in _SECTIONS.items() if name != "encoder"}
         cfg["encoder"] = EncoderConfig(**doc["encoder"]) if "encoder" in doc else EncoderConfig.tiny()
-        for section, obj in cfg.items():
-            for field in dataclasses.fields(obj):  # "int", "int | None" or "tuple[int, ...]"
-                kind, value = str(field.type), getattr(obj, field.name)
-                ok = all(map(is_int, value if isinstance(value, tuple) else (value,)))
-                if "int" in kind and not ok and not (value is None and "None" in kind):
-                    raise CliError(f"run config {path}: {section}.{field.name} must be an integer, got {value!r}")
     except (OSError, ValueError, TypeError, OverflowError, FeatureError, ShapeError, TrainError) as exc:
-        # ValueError covers malformed JSON and AugmentConfig; TypeError, unknown or missing keys;
-        # OverflowError, an infinite frame length or hop
+        # ValueError covers malformed JSON and AugmentConfig; TypeError, a bad field type or an
+        # unknown or missing key; OverflowError, a frame length or hop too large for win_samples
         raise CliError(f"run config {path}: {exc}") from exc
     return {**cfg, "d_att": d_att}
 

@@ -76,17 +76,19 @@ def _away_from_kinks(x: np.ndarray, eps: float = 1e-2) -> np.ndarray:
     return np.where(np.abs(x) < eps, eps * np.sign(x) + (x == 0) * eps, x)
 
 
-def check_relu(rng: np.random.Generator) -> CheckResult:
-    x = _away_from_kinks(rng.standard_normal((3, 4)))
-    probe = rng.standard_normal((3, 4))
+def _probe_check(name, rng, inputs, out_shape, forward, backward, tol) -> CheckResult:
+    """Check ``backward(probe, d)`` against the loss ``sum(probe * forward(d))``, probe drawn after the inputs."""
+    probe = rng.standard_normal(out_shape)
 
     def loss(d):
-        return float(np.sum(probe * T.relu(d["x"])))
+        return float(np.sum(probe * forward(d)))
 
-    def grads(d):
-        return {"x": T.relu_backward(probe, d["x"])}
+    return CheckResult(name, finite_diff_check(loss, lambda d: backward(probe, d), inputs), tol)
 
-    return CheckResult("relu", finite_diff_check(loss, grads, {"x": x}), ELEMENTWISE_TOL)
+
+def check_relu(rng: np.random.Generator) -> CheckResult:
+    return _probe_check("relu", rng, {"x": _away_from_kinks(rng.standard_normal((3, 4)))}, (3, 4),
+                        lambda d: T.relu(d["x"]), lambda g, d: {"x": T.relu_backward(g, d["x"])}, ELEMENTWISE_TOL)
 
 
 def check_dropout(rng: np.random.Generator) -> CheckResult:
@@ -106,57 +108,29 @@ def check_dropout(rng: np.random.Generator) -> CheckResult:
 
 def check_conv_depthwise(rng: np.random.Generator) -> CheckResult:
     inputs = {"x": rng.standard_normal((2, 3, 6)), "k": rng.standard_normal((3, 5))}
-    probe = rng.standard_normal((2, 3, 6))
-
-    def loss(d):
-        return float(np.sum(probe * T.conv1d_depthwise(d["x"], d["k"])))
-
-    def grads(d):
-        gx, gk = T.conv1d_depthwise_backward(probe, d["x"], d["k"])
-        return {"x": gx, "k": gk}
-
-    return CheckResult("conv1d_depthwise", finite_diff_check(loss, grads, inputs), ELEMENTWISE_TOL)
+    return _probe_check("conv1d_depthwise", rng, inputs, (2, 3, 6),
+                        lambda d: T.conv1d_depthwise(d["x"], d["k"]),
+                        lambda g, d: dict(zip(("x", "k"), T.conv1d_depthwise_backward(g, d["x"], d["k"]))),
+                        ELEMENTWISE_TOL)
 
 
 def check_conv_pointwise(rng: np.random.Generator) -> CheckResult:
-    inputs = {
-        "x": rng.standard_normal((2, 3, 5)),
-        "w": rng.standard_normal((4, 3)),
-        "b": rng.standard_normal(4),
-    }
-    probe = rng.standard_normal((2, 4, 5))
-
-    def loss(d):
-        return float(np.sum(probe * T.conv1d_pointwise(d["x"], d["w"], d["b"])))
-
-    def grads(d):
-        gx, gw, gb = T.conv1d_pointwise_backward(probe, d["x"], d["w"])
-        return {"x": gx, "w": gw, "b": gb}
-
-    return CheckResult("conv1d_pointwise", finite_diff_check(loss, grads, inputs), ELEMENTWISE_TOL)
+    inputs = {"x": rng.standard_normal((2, 3, 5)), "w": rng.standard_normal((4, 3)), "b": rng.standard_normal(4)}
+    return _probe_check("conv1d_pointwise", rng, inputs, (2, 4, 5),
+                        lambda d: T.conv1d_pointwise(d["x"], d["w"], d["b"]),
+                        lambda g, d: dict(zip(("x", "w", "b"), T.conv1d_pointwise_backward(g, d["x"], d["w"]))),
+                        ELEMENTWISE_TOL)
 
 
 def check_batch_norm(rng: np.random.Generator) -> CheckResult:
-    inputs = {
-        "x": rng.standard_normal((2, 3, 4)),
-        "gamma": 0.5 + rng.random(3),
-        "beta": rng.standard_normal(3),
-    }
-    probe = rng.standard_normal((2, 3, 4))
+    inputs = {"x": rng.standard_normal((2, 3, 4)), "gamma": 0.5 + rng.random(3), "beta": rng.standard_normal(3)}
 
     def run(d):
         return T.batch_norm_1d(d["x"], d["gamma"], d["beta"], np.zeros(3), np.ones(3), "train")
 
-    def loss(d):
-        out, _ = run(d)
-        return float(np.sum(probe * out))
-
-    def grads(d):
-        _, cache = run(d)
-        gx, gg, gb = T.batch_norm_1d_backward(probe, cache)
-        return {"x": gx, "gamma": gg, "beta": gb}
-
-    return CheckResult("batch_norm_1d", finite_diff_check(loss, grads, inputs), COMPOSITE_TOL)
+    return _probe_check("batch_norm_1d", rng, inputs, (2, 3, 4), lambda d: run(d)[0],
+                        lambda g, d: dict(zip(("x", "gamma", "beta"), T.batch_norm_1d_backward(g, run(d)[1]))),
+                        COMPOSITE_TOL)
 
 
 def check_cross_entropy(rng: np.random.Generator) -> CheckResult:
@@ -181,18 +155,13 @@ def check_sap(rng: np.random.Generator) -> CheckResult:
         "sap.b": rng.standard_normal(d_att),
         "sap.mu": rng.standard_normal(d_att),
     }
-    probe = rng.standard_normal((n, c))
 
-    def loss(d):
-        st = sap_forward(d["x"], d, valid_len=valid)
-        return float(np.sum(probe * st.embedding))
-
-    def grads(d):
-        st = sap_forward(d["x"], d, valid_len=valid)
-        gx, gp = sap_backward(st, d["x"], d, probe)
+    def backward(g, d):
+        gx, gp = sap_backward(sap_forward(d["x"], d, valid_len=valid), d["x"], d, g)
         return {"x": gx, **gp}
 
-    return CheckResult("sap", finite_diff_check(loss, grads, inputs), COMPOSITE_TOL)
+    return _probe_check("sap", rng, inputs, (n, c), lambda d: sap_forward(d["x"], d, valid_len=valid).embedding,
+                        backward, COMPOSITE_TOL)
 
 
 def _composite_loss_and_grads(cfg: EncoderConfig, d_att: int, n_classes: int, x64, valid, targets, params64):

@@ -11,7 +11,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 from itertools import zip_longest
 from pathlib import Path
 
@@ -44,6 +45,31 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# what a config field accepts from JSON, by its annotation; a bool is no number, and a float
+# field's number must be finite as a float (NaN fails the comparison, a huge integer exceeds it)
+FIELD_RULES = {
+    "int": ("an integer", is_int),
+    "int | None": ("an integer or null", lambda v: v is None or is_int(v)),
+    "float": ("a finite number", lambda v: (is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "tuple[int, ...]": ("a list of integers", lambda v: isinstance(v, (list, tuple)) and all(map(is_int, v))),
+}
+
+
+def check_fields(cls, values, section: str) -> None:
+    """Raise TypeError unless ``values`` is a dict whose fields of ``cls`` hold what their annotations accept.
+
+    Run before ``cls(**values)``, so ``__post_init__`` only ever compares
+    numbers; unknown keys are left to the constructor.
+    """
+    if not isinstance(values, dict):
+        raise TypeError(f"{section} must be a JSON object, got {values!r}")
+    for field in fields(cls):
+        what, accepts = FIELD_RULES[field.type]
+        if field.name in values and not accepts(values[field.name]):
+            raise TypeError(f"{section}.{field.name} must be {what}, got {values[field.name]!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
@@ -63,10 +89,9 @@ class TrainConfig:
             raise TrainError("batch_size must be >= 2 (batch-norm precondition)")
         if self.seed < 0:
             raise TrainError(f"seed must be >= 0, got {self.seed}")
-        # a value of another type is left to the run config's check, whose message names the type
-        if is_int(self.patience) and self.patience < 0:
+        if self.patience < 0:
             raise TrainError(f"patience must be >= 0, got {self.patience}")
-        if is_int(self.total_steps) and self.total_steps < 1:
+        if self.total_steps is not None and self.total_steps < 1:
             raise TrainError(f"total_steps must be >= 1 or null, got {self.total_steps}")
 
 
@@ -131,6 +156,7 @@ def load_checkpoint(path: str | Path) -> Model:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(data[16 : 16 + header_len].decode("utf-8"))
+        check_fields(EncoderConfig, header["encoder"], "encoder")
         cfg = EncoderConfig(**header["encoder"])
         d_att, labels, step = header["d_att"], header["labels"], header["step"]
         tensors = [(t["name"], tuple(t["shape"]), t["kind"]) for t in header["tensors"]]

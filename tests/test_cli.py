@@ -286,6 +286,26 @@ class TestRunConfig:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: run config ")
 
+    @pytest.mark.parametrize("doc,name", [
+        ({"augment": {"mask_value": "x"}}, "augment.mask_value"),
+        ({"augment": {"enabled": "false"}}, "augment.enabled"),
+        ({"train": {"lr_max": True}}, "train.lr_max"),
+        ({"features": {"log_floor": True}}, "features.log_floor"),
+        ({"features": [1]}, "features"),
+        ({"train": {"epochs": "3"}}, "train.epochs"),
+    ], ids=["string_mask_value", "string_enabled", "bool_lr_max", "bool_log_floor", "list_section",
+            "string_epochs"])
+    def test_bad_field_type_named(self, tmp_path, corpus_dir, doc, name, capsys):
+        _, manifest, _ = corpus_dir
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        rc = main(["train", "--config", str(config), "--manifest", str(manifest),
+                   "--split", "0.75", "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: run config ") and err.count("\n") == 1
+        assert f": {name} must be " in err
+
 
 class TestManifest:
     def test_invalid_json_rejected(self, tmp_path):

@@ -76,6 +76,7 @@ def test_decode_wav_riff_chunks(chunk_list, riff_len):
 DELETE = object()
 HEADER_FIELDS = [("encoder",), ("d_att",), ("labels",), ("step",), ("tensors",),
                  ("encoder", "channels"), ("encoder", "kernel_sizes"), ("encoder", "sub_blocks"),
+                 ("encoder", "input_dim"), ("encoder", "dropout_rate"),
                  ("tensors", 0), ("tensors", 0, "name"), ("tensors", 0, "shape"), ("tensors", 0, "kind"),
                  ("tensors", -1, "shape"), ("tensors", -1, "kind")]
 
@@ -109,6 +110,9 @@ def test_load_checkpoint_with_one_field_changed(checkpoint_parts, field, value):
     except CheckpointError:
         return
     assert isinstance(model.d_att, int) and all(isinstance(lab, str) for lab in model.labels)
+    cfg = model.encoder_cfg
+    assert all(type(n) is int for n in (*cfg.channels, *cfg.kernel_sizes, cfg.sub_blocks, cfg.input_dim))
+    assert type(cfg.dropout_rate) in (int, float)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ import pytest
 
 from lidkit.augment import AugmentConfig
 from lidkit.encoder import EncoderConfig
-from lidkit.features import FeatureMap
+from lidkit.features import FeatureConfig, FeatureMap
 from lidkit.model import batch_from_features, build_model, model_backward, model_forward
 from lidkit.training import (
+    FIELD_RULES,
     CheckpointError,
     NonFiniteGradientError,
     TrainConfig,
     TrainError,
+    check_fields,
     cosine_lr,
     load_checkpoint,
     save_checkpoint,
@@ -191,6 +193,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="bytes"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field,value", [("sub_blocks", 2.0), ("input_dim", 8.0), ("channels", [4.0, 4]),
+                                             ("dropout_rate", True), ("kernel_sizes", "33")])
+    def test_bad_encoder_field_type_reported(self, tmp_path, field, value):
+        path = tmp_path / "m.lidk"
+        save_checkpoint(toy_model(seed=8), path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16 : 16 + header_len])
+        header["encoder"][field] = value
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + raw[16 + header_len :])
+        with pytest.raises(CheckpointError, match=f"encoder.{field} must be "):
+            load_checkpoint(path)
+
     def test_bad_magic_reported(self, tmp_path):
         path = tmp_path / "m.lidk"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -267,3 +283,33 @@ class TestTrainLoop:
     def test_lr_bounds_validated(self):
         with pytest.raises(TrainError):
             TrainConfig(lr_max=1e-5, lr_min=1e-4)
+
+
+CONFIGS = [FeatureConfig, EncoderConfig, AugmentConfig, TrainConfig]
+
+
+class TestCheckFields:
+    @pytest.mark.parametrize("cls", CONFIGS)
+    def test_every_field_annotation_has_a_rule(self, cls):
+        # a field of a type the rule does not know would otherwise go unchecked
+        assert [f.name for f in dataclasses.fields(cls) if f.type not in FIELD_RULES] == []
+
+    @pytest.mark.parametrize("cls", CONFIGS)
+    def test_default_config_passes_through_json(self, cls):
+        cfg = EncoderConfig.tiny() if cls is EncoderConfig else cls()
+        check_fields(cls, json.loads(json.dumps(dataclasses.asdict(cfg))), "section")
+
+    @pytest.mark.parametrize("field,value", [("epochs", 3.0), ("epochs", True), ("total_steps", "5"),
+                                             ("lr_max", True), ("lr_max", float("nan")), ("lr_max", float("inf")),
+                                             ("lr_max", 10**400), ("lr_min", None)])
+    def test_bad_value_named(self, field, value):
+        with pytest.raises(TypeError, match=f"^train.{field} must be "):
+            check_fields(TrainConfig, {field: value}, "train")
+
+    @pytest.mark.parametrize("values", [{"total_steps": None}, {"lr_max": 1}, {"bogus": "left to the constructor"}])
+    def test_good_value_accepted(self, values):
+        check_fields(TrainConfig, values, "train")
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(TypeError, match="^augment must be a JSON object"):
+            check_fields(AugmentConfig, [1], "augment")
