@@ -71,9 +71,9 @@ def load_run_config(path: str | Path | None) -> dict:
             check_fields(cls, doc.get(name, {}), name)
         cfg = {name: cls(**doc.get(name, {})) for name, cls in _SECTIONS.items() if name != "encoder"}
         cfg["encoder"] = EncoderConfig(**doc["encoder"]) if "encoder" in doc else EncoderConfig.tiny()
-    except (OSError, ValueError, TypeError, OverflowError, FeatureError, ShapeError, TrainError) as exc:
+    except (OSError, ValueError, TypeError, FeatureError, ShapeError, TrainError) as exc:
         # ValueError covers malformed JSON and AugmentConfig; TypeError, a bad field type or an
-        # unknown or missing key; OverflowError, a frame length or hop too large for win_samples
+        # unknown or missing key
         raise CliError(f"run config {path}: {exc}") from exc
     return {**cfg, "d_att": d_att}
 

@@ -106,12 +106,21 @@ def check_dropout(rng: np.random.Generator) -> CheckResult:
     return CheckResult("dropout", finite_diff_check(loss, grads, {"x": x}), ELEMENTWISE_TOL)
 
 
-def check_conv_depthwise(rng: np.random.Generator) -> CheckResult:
-    inputs = {"x": rng.standard_normal((2, 3, 6)), "k": rng.standard_normal((3, 5))}
-    return _probe_check("conv1d_depthwise", rng, inputs, (2, 3, 6),
+def _depthwise_check(name: str, rng: np.random.Generator, t: int, k: int) -> CheckResult:
+    inputs = {"x": rng.standard_normal((2, 3, t)), "k": rng.standard_normal((3, k))}
+    return _probe_check(name, rng, inputs, (2, 3, t),
                         lambda d: T.conv1d_depthwise(d["x"], d["k"]),
                         lambda g, d: dict(zip(("x", "k"), T.conv1d_depthwise_backward(g, d["x"], d["k"]))),
                         ELEMENTWISE_TOL)
+
+
+def check_conv_depthwise(rng: np.random.Generator) -> CheckResult:
+    return _depthwise_check("conv1d_depthwise", rng, 6, 5)
+
+
+def check_conv_depthwise_paper_width(rng: np.random.Generator) -> CheckResult:
+    """The narrowest paper kernel, so the audit covers a width the paper model runs."""
+    return _depthwise_check("conv1d_depthwise_k33", rng, 40, 33)
 
 
 def check_conv_pointwise(rng: np.random.Generator) -> CheckResult:
@@ -221,6 +230,7 @@ ALL_CHECKS = [
     check_relu,
     check_dropout,
     check_conv_depthwise,
+    check_conv_depthwise_paper_width,
     check_conv_pointwise,
     check_batch_norm,
     check_cross_entropy,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,17 @@ class FeatureConfig:
     log_floor: float = 1e-10
 
     def __post_init__(self):
-        if self.win_samples < 1 or self.hop_samples < 1:
-            raise FeatureError("frame_length and frame_hop must each span at least one sample")
+        if not 0 < self.sample_rate < 2**32:  # decode_wav reads the rate as a uint32
+            raise FeatureError("sample_rate must be in [1, 2**32)")
+        for name in ("frame_length", "frame_hop"):
+            seconds = getattr(self, name)
+            span = seconds * self.sample_rate
+            if not (math.isfinite(span) and round(span) >= 1):
+                raise FeatureError(f"{name} must be at least one sample long and a finite number of samples, "
+                                   f"got {seconds!r}")
         if self.fft_size & (self.fft_size - 1):
             raise FeatureError("fft_size must be a power of two")
-        if self.fft_size < int(round(self.frame_length * self.sample_rate)):
+        if self.fft_size < self.win_samples:
             raise FeatureError("fft_size smaller than the analysis window")
         if not (0 < self.f_min < self.f_max <= self.sample_rate / 2):
             raise FeatureError("need 0 < f_min < f_max <= Nyquist")

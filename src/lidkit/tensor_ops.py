@@ -20,17 +20,6 @@ class ShapeError(Exception):
 # depthwise 1D convolution over time, one kernel per channel
 
 
-# Kernels at least this wide go through the FFT, narrower ones through the
-# exact shift loop.  Forward + backward ms, loop / FFT, best of 5-50 calls on
-# 2 vCPU, numpy 2.4.6 (pocketfft), at K = 7 | 13 | 17 | 33 | 75:
-#   x (1, 512, 1998) f32:  16/33 | 29/32 | 38/38 | 75/27 | 172/31
-#   x (2, 512, 200) f64:   7.1/5.0 | 14/5.3 | 16/5.4 | 32/5.0 | 77/6.8
-#   x (8, 8, 100) f32:     0.17/0.13 | 0.27/0.13 | 0.34/0.13 | 0.60/0.16 | 1.3/0.18
-# The long clip crosses over last, at K = 15-17.  17 sends every paper kernel
-# to the FFT and every kernel of the tiny configs (<= 7) to the loop.
-FFT_MIN_K = 17
-
-
 def _fft_length(n: int) -> int:
     """The smallest 2*3*5-smooth length >= n: pocketfft is fastest there."""
     while True:
@@ -55,43 +44,32 @@ def _half_width(x: np.ndarray, kernels: np.ndarray) -> int:
 def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """x: (N, C, T); kernels: (C, K) with K odd.  Same zero padding.
 
-    From ``FFT_MIN_K`` up this correlation is the linear convolution with the
-    reversed kernel, read from offset K//2 (Mathieu et al. 2013, arXiv:1312.5851).
+    The correlation is the linear convolution with the reversed kernel, read
+    from offset K//2 and computed by FFT (Mathieu et al. 2013, arXiv:1312.5851).
+    A K = 1 kernel is a per-channel scale and is applied exactly.
     """
     half = _half_width(x, kernels)
     t, k = x.shape[2], kernels.shape[1]
-    if k >= FFT_MIN_K:
-        n = _fft_length(t + k - 1)
-        spec = np.fft.rfft(x, n) * np.fft.rfft(kernels[:, ::-1], n)
-        out = np.fft.irfft(spec, n)[..., half : half + t].astype(x.dtype)  # a copy, not a view of the buffer
-    else:
-        xp = np.pad(x, ((0, 0), (0, 0), (half, half)))
-        out = np.zeros_like(x)
-        for j in range(k):
-            out += kernels[None, :, j, None] * xp[:, :, j : j + t]
-    return out
+    if k == 1:
+        return (kernels * x).astype(x.dtype, copy=False)
+    n = _fft_length(t + k - 1)
+    spec = np.fft.rfft(x, n) * np.fft.rfft(kernels[:, ::-1], n)
+    return np.fft.irfft(spec, n)[..., half : half + t].astype(x.dtype)  # a copy, not a view of the buffer
 
 
 def conv1d_depthwise_backward(grad_out: np.ndarray, x: np.ndarray, kernels: np.ndarray):
     half = _half_width(x, kernels)
     t, k = x.shape[2], kernels.shape[1]
-    if k >= FFT_MIN_K:
-        # the adjoint of the correlation convolves grad_out with the kernel;
-        # grad_k[j] = sum_{n,t} grad_out[t] * x[t + j - K//2], the lags -K//2..K//2
-        n = _fft_length(t + k - 1)
-        spec_g = np.fft.rfft(grad_out, n)
-        grad_x = np.fft.irfft(spec_g * np.fft.rfft(kernels, n), n)[..., half : half + t].astype(x.dtype)
-        lags = np.fft.irfft(np.sum(np.fft.rfft(x, n) * spec_g.conj(), axis=0), n)
-        grad_k = np.concatenate((lags[:, n - half :], lags[:, : half + 1]), axis=1).astype(kernels.dtype)
-    else:
-        xp = np.pad(x, ((0, 0), (0, 0), (half, half)))
-        gp = np.pad(grad_out, ((0, 0), (0, 0), (half, half)))
-        grad_k = np.empty_like(kernels)
-        grad_x = np.zeros_like(x)
-        for j in range(k):
-            grad_k[:, j] = np.sum(grad_out * xp[:, :, j : j + t], axis=(0, 2))
-            # adjoint of the shift: correlate grad_out with the flipped kernel
-            grad_x += kernels[None, :, k - 1 - j, None] * gp[:, :, j : j + t]
+    if k == 1:
+        grad_k = np.sum(grad_out * x, axis=(0, 2))[:, None].astype(kernels.dtype)
+        return (kernels * grad_out).astype(x.dtype, copy=False), grad_k
+    # the adjoint of the correlation convolves grad_out with the kernel;
+    # grad_k[j] = sum_{n,t} grad_out[t] * x[t + j - K//2], the lags -K//2..K//2
+    n = _fft_length(t + k - 1)
+    spec_g = np.fft.rfft(grad_out, n)
+    grad_x = np.fft.irfft(spec_g * np.fft.rfft(kernels, n), n)[..., half : half + t].astype(x.dtype)
+    lags = np.fft.irfft(np.sum(np.fft.rfft(x, n) * spec_g.conj(), axis=0), n)
+    grad_k = np.concatenate((lags[:, n - half :], lags[:, : half + 1]), axis=1).astype(kernels.dtype)
     return grad_x, grad_k
 
 

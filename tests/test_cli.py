@@ -293,8 +293,11 @@ class TestRunConfig:
         ({"features": {"log_floor": True}}, "features.log_floor"),
         ({"features": [1]}, "features"),
         ({"train": {"epochs": "3"}}, "train.epochs"),
+        ({"features": {"frame_length": 1e308}}, "frame_length"),
+        ({"features": {"frame_hop": 1e308}}, "frame_hop"),
+        ({"features": {"sample_rate": 10**400}}, "sample_rate"),
     ], ids=["string_mask_value", "string_enabled", "bool_lr_max", "bool_log_floor", "list_section",
-            "string_epochs"])
+            "string_epochs", "huge_frame_length", "huge_frame_hop", "huge_sample_rate"])
     def test_bad_field_type_named(self, tmp_path, corpus_dir, doc, name, capsys):
         _, manifest, _ = corpus_dir
         config = tmp_path / "run.json"

@@ -162,26 +162,28 @@ class TestForward:
 
 class TestMask:
     def test_padding_is_neutral_in_train_mode(self):
-        cfg = tiny_cfg(dropout_rate=0.1)
-        t = 9
-        valid = [t, t - 3, 1]
-        x = np.random.default_rng(4).standard_normal((3, 5, t))
-        probe = np.random.default_rng(5).standard_normal((3, cfg.out_channels, t))
-        pad = np.arange(t)[None, None, :] >= np.array(valid)[:, None, None]
+        # the paper's kernels (33-75) are wider than short clips: (17, 19) covers
+        # kernels wider than some valid lengths (T = 30) and than all of them (T = 9)
+        for kernel_sizes, t in (((3, 5), 9), ((17, 19), 9), ((17, 19), 30)):
+            cfg = tiny_cfg(kernel_sizes=kernel_sizes, dropout_rate=0.1)
+            valid = [t, t - 3, 1]
+            x = np.random.default_rng(4).standard_normal((3, 5, t))
+            probe = np.random.default_rng(5).standard_normal((3, cfg.out_channels, t))
+            pad = np.arange(t)[None, None, :] >= np.array(valid)[:, None, None]
 
-        runs = []
-        for fill in (0.0, 1e3):
-            params, state = build_encoder(cfg, seed=6, dtype=np.float64)
-            xf = np.where(pad, fill, x)
-            out, cache = encoder_forward(cfg, params, state, xf, mode="train",
-                                         rng=np.random.default_rng(7), valid_lens=valid)
-            grad_x, grads = encoder_backward(params, cache, probe)
-            assert np.all(out[np.broadcast_to(pad, out.shape)] == 0)
-            assert np.all(grad_x[np.broadcast_to(pad, grad_x.shape)] == 0)
-            runs.append((out, grads))
-        (out0, grads0), (out1, grads1) = runs
-        assert out0.tobytes() == out1.tobytes()
-        assert all(grads0[k].tobytes() == grads1[k].tobytes() for k in grads0)
+            runs = []
+            for fill in (0.0, 1e3):
+                params, state = build_encoder(cfg, seed=6, dtype=np.float64)
+                xf = np.where(pad, fill, x)
+                out, cache = encoder_forward(cfg, params, state, xf, mode="train",
+                                             rng=np.random.default_rng(7), valid_lens=valid)
+                grad_x, grads = encoder_backward(params, cache, probe)
+                assert np.all(out[np.broadcast_to(pad, out.shape)] == 0)
+                assert np.all(grad_x[np.broadcast_to(pad, grad_x.shape)] == 0)
+                runs.append((out, grads))
+            (out0, grads0), (out1, grads1) = runs
+            assert out0.tobytes() == out1.tobytes()
+            assert all(grads0[k].tobytes() == grads1[k].tobytes() for k in grads0)
 
 
 class TestBackward:

@@ -1,8 +1,10 @@
-"""Property tests of the three input parsers: only their typed errors may escape.
+"""Property tests of the three input parsers and of the depthwise conv.
 
 ``decode_wav`` may raise only ``WavError``, ``load_checkpoint`` only
 ``CheckpointError`` and ``load_manifest`` only ``CliError``; anything else
-(KeyError, TypeError, OverflowError, ...) fails the test.
+(KeyError, TypeError, OverflowError, ...) fails the test.  The depthwise
+conv must match its triple-loop oracle at every shape, kernels wider than
+the clip included.
 """
 
 import json
@@ -10,13 +12,16 @@ import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from lidkit.audio import WavError, decode_wav
 from lidkit.cli import CliError, load_manifest
 from lidkit.encoder import EncoderConfig
 from lidkit.model import build_model
+from lidkit.tensor_ops import conv1d_depthwise, conv1d_depthwise_backward
 from lidkit.training import CheckpointError, load_checkpoint, save_checkpoint
+from tests.test_tensor_ops import naive_depthwise, naive_depthwise_backward
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -133,3 +138,21 @@ def test_load_manifest_one_value_per_line(tmp_path_factory, values):
     assert len(loaded) == len(values)
     for rec in loaded:
         assert isinstance(rec["audio_filepath"], str) and isinstance(rec["label"], str) and rec["label"]
+
+
+# ---------------------------------------------------------------------------
+# depthwise conv: one path for every odd kernel width, often wider than T
+
+
+@FUZZ
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 40), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_depthwise_matches_oracle(n, c, t, half, seed):
+    rng = np.random.default_rng(seed)
+    x, g = rng.standard_normal((2, n, c, t))
+    kernels = rng.standard_normal((c, 2 * half + 1))
+    gx, gk = conv1d_depthwise_backward(g, x, kernels)
+    want = np.stack([naive_depthwise(xi, kernels) for xi in x])
+    want_gx, want_gk = naive_depthwise_backward(g, x, kernels)
+    for got, ref in ((conv1d_depthwise(x, kernels), want), (gx, want_gx), (gk, want_gk)):
+        assert got.shape == ref.shape and got.dtype == np.float64 and got.base is None
+        assert np.max(np.abs(got - ref)) <= 1e-6

@@ -84,9 +84,9 @@ class TestDepthwiseConv:
 
 
 class TestDepthwiseConvFFT:
-    """Kernels from FFT_MIN_K up take the FFT path; the paper's are 33-75 wide."""
+    """Every kernel width takes the FFT path but K = 1; the paper's are 33-75 wide."""
 
-    @pytest.mark.parametrize("k", [33, 39, 51, 63, 75, T.FFT_MIN_K - 2, T.FFT_MIN_K])
+    @pytest.mark.parametrize("k", [1, 3, 7, 15, 17, 33, 39, 51, 63, 75])
     @pytest.mark.parametrize("t", [1, 20, 200])
     def test_matches_naive_oracle_float64(self, k, t):
         rng = np.random.default_rng([k, t])
@@ -121,10 +121,11 @@ class TestDepthwiseConvFFT:
         # a view into the padded FFT buffer would keep that buffer alive in the activation cache
         rng = np.random.default_rng(4)
         x, g = rng.standard_normal((2, 2, 3, 40))
-        kernels = rng.standard_normal((3, T.FFT_MIN_K))
-        gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
-        for out in (T.conv1d_depthwise(x, kernels), gx, gk):
-            assert out.base is None
+        for k in (1, 3, 33):
+            kernels = rng.standard_normal((3, k))
+            gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
+            for out in (T.conv1d_depthwise(x, kernels), gx, gk):
+                assert out.base is None
 
 
 class TestPointwiseConv:
