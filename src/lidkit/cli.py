@@ -141,18 +141,14 @@ def featurize_records(records: list[dict], fcfg: FeatureConfig):
 
 
 def cmd_featurize(args) -> int:
-    """Decode and featurize every clip; writes only featurize_summary.json."""
+    """Decode and featurize every clip; prints a summary and writes no file."""
     cfg = load_run_config(args.config)
     records = load_manifest(args.manifest)
     if not records:
         raise CliError("empty manifest")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     data, failures = featurize_records(records, cfg["features"])
     total_frames = sum(fm.n_frames for fm, _ in data)
-    summary = {"count": len(data), "failures": failures, "total_frames": total_frames}
-    atomic_write_text(out / "featurize_summary.json", json.dumps(summary, indent=2) + "\n")
-    print(json.dumps(summary))
+    print(json.dumps({"count": len(data), "failures": failures, "total_frames": total_frames}))
     if failures:
         return 0 if args.allow_partial else 3
     return 0
@@ -291,10 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lidkit", description="Spoken language identification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("featurize", help="decode and featurize every clip of a manifest; write a summary")
+    p = sub.add_parser("featurize", help="decode and featurize every clip of a manifest; print a summary")
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
     p.add_argument("--allow-partial", action="store_true", help="exit 0 even if some clips fail")
     p.set_defaults(func=cmd_featurize)
 

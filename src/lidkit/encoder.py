@@ -13,6 +13,7 @@ forward pass and the backward pass are each one loop over it.
 
 Parameters live in a flat ordered dict (name -> array); batch-norm
 running statistics live in a separate state dict with the same naming.
+Every name carries the ``enc.`` prefix it has in a model and on disk.
 Train mode updates the arrays of that state dict in place and never
 replaces them; eval mode leaves them bitwise unchanged.
 """
@@ -90,13 +91,13 @@ def encoder_blocks(cfg: EncoderConfig) -> list:
     is a pointwise-only layer on the block input (or None); its output
     joins the last layer's before that layer's ReLU.
     """
-    blocks = [([("prologue", cfg.input_dim, cfg.channels[0], cfg.kernel_sizes[0])], None, True)]
+    blocks = [([("enc.prologue", cfg.input_dim, cfg.channels[0], cfg.kernel_sizes[0])], None, True)]
     c_in = cfg.channels[0]
     for b, (c_out, k) in enumerate(zip(cfg.channels, cfg.kernel_sizes)):
-        layers = [(f"block{b}.sub{r}", c_out if r else c_in, c_out, k) for r in range(cfg.sub_blocks)]
-        blocks.append((layers, (f"block{b}.res", c_in, c_out, 0), True))
+        layers = [(f"enc.block{b}.sub{r}", c_out if r else c_in, c_out, k) for r in range(cfg.sub_blocks)]
+        blocks.append((layers, (f"enc.block{b}.res", c_in, c_out, 0), True))
         c_in = c_out
-    blocks.append(([("epilogue", c_in, cfg.out_channels, 0)], None, False))
+    blocks.append(([("enc.epilogue", c_in, cfg.out_channels, 0)], None, False))
     return blocks
 
 

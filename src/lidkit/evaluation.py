@@ -98,15 +98,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def accuracy(self) -> float:
-        """Trace over total; only meaningful when true labels are predictable."""
-        diag = sum(
-            self.counts[i, self.pred_labels.index(lab)]
-            for i, lab in enumerate(self.true_labels)
-            if lab in self.pred_labels
-        )
-        return diag / self.total if self.total else 0.0
-
     def row_normalized(self) -> np.ndarray:
         sums = self.counts.sum(axis=1, keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):

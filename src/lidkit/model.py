@@ -12,9 +12,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lidkit.encoder import EncoderConfig, build_encoder, encoder_backward, encoder_forward
+from lidkit.encoder import (
+    EncoderConfig,
+    build_encoder,
+    encoder_backward,
+    encoder_forward,
+    encoder_param_shapes,
+    encoder_state_shapes,
+)
 from lidkit.features import FeatureMap
-from lidkit.sap import classify, classify_backward, cross_entropy, init_sap_params, sap_backward, sap_forward
+from lidkit.sap import (
+    classify,
+    classify_backward,
+    cross_entropy,
+    init_sap_params,
+    sap_backward,
+    sap_forward,
+    sap_param_shapes,
+)
 from lidkit.tensor_ops import softmax
 
 D_ATT_DEFAULT = 256
@@ -34,27 +49,30 @@ class Model:
         return len(self.labels)
 
 
-def build_model(
-    encoder_cfg: EncoderConfig, labels: list[str], seed: int, d_att: int = D_ATT_DEFAULT, dtype=np.float32
-) -> Model:
-    enc_params, enc_state = build_encoder(encoder_cfg, seed, dtype=dtype)
-    params = {f"enc.{k}": v for k, v in enc_params.items()}
-    params.update(init_sap_params(encoder_cfg.out_channels, d_att, len(labels), seed + 1, dtype=dtype))
-    state = {f"enc.{k}": v for k, v in enc_state.items()}
+def build_model(encoder_cfg: EncoderConfig, labels: list[str], seed: int, d_att: int = D_ATT_DEFAULT) -> Model:
+    """A float32 model holding exactly the tensors of ``tensor_table``, in its order."""
+    params, state = build_encoder(encoder_cfg, seed)
+    params.update(init_sap_params(encoder_cfg.out_channels, d_att, len(labels), seed + 1))
     return Model(encoder_cfg=encoder_cfg, d_att=d_att, labels=list(labels), params=params, state=state)
 
 
-def _enc_view(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The encoder's entries without the ``enc.`` prefix; the arrays are shared, not copied."""
-    return {k[4:]: v for k, v in tensors.items() if k.startswith("enc.")}
+def tensor_table(encoder_cfg: EncoderConfig, d_att: int, n_classes: int) -> list[tuple[str, tuple[int, ...], str]]:
+    """Every tensor of a model as (name, shape, kind), kind "param" or "state", in checkpoint order.
+
+    The parameters come first, the encoder's then pooling's and the head's,
+    followed by the encoder's batch-norm state.
+    """
+    params = {**encoder_param_shapes(encoder_cfg), **sap_param_shapes(encoder_cfg.out_channels, d_att, n_classes)}
+    return ([(name, shape, "param") for name, shape in params.items()]
+            + [(name, shape, "state") for name, shape in encoder_state_shapes(encoder_cfg).items()])
 
 
-def batch_from_features(maps: list[FeatureMap], dtype=np.float32):
-    """Zero-pad T x F maps to a common length; returns (N, F, T_max) and valid lengths."""
+def batch_from_features(maps: list[FeatureMap]):
+    """Zero-pad T x F maps to a common length; returns float32 (N, F, T_max) and valid lengths."""
     t_max = max(fm.n_frames for fm in maps)
     n = len(maps)
     f = maps[0].n_bins
-    x = np.zeros((n, f, t_max), dtype=dtype)
+    x = np.zeros((n, f, t_max), dtype=np.float32)
     valid = np.zeros(n, dtype=np.int64)
     for i, fm in enumerate(maps):
         x[i, :, : fm.n_frames] = fm.data.T
@@ -81,8 +99,7 @@ def model_forward(
     needs a train-mode cache.
     """
     frames, enc_cache = encoder_forward(
-        model.encoder_cfg, _enc_view(model.params), _enc_view(model.state), x,
-        mode=mode, rng=rng, valid_lens=valid_lens,
+        model.encoder_cfg, model.params, model.state, x, mode=mode, rng=rng, valid_lens=valid_lens,
     )
 
     sap_state = sap_forward(frames, model.params, valid_lens)
@@ -111,8 +128,8 @@ def model_backward(model: Model, cache) -> dict[str, np.ndarray]:
     grad_e, grads = classify_backward(sap_state.embedding, model.params, grad_logits)
     grad_frames, sap_grads = sap_backward(sap_state, frames, model.params, grad_e)
     grads.update(sap_grads)
-    grad_input, enc_grads = encoder_backward(_enc_view(model.params), enc_cache, grad_frames)
-    grads.update({f"enc.{k}": v for k, v in enc_grads.items()})
+    grad_input, enc_grads = encoder_backward(model.params, enc_cache, grad_frames)
+    grads.update(enc_grads)
     grads["input"] = grad_input
     return grads
 

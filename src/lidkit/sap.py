@@ -36,21 +36,22 @@ def sap_param_shapes(in_channels: int, d_att: int, n_classes: int) -> dict[str, 
             "head.W": (n_classes, in_channels), "head.b": (n_classes,)}
 
 
-def init_sap_params(
-    in_channels: int, d_att: int, n_classes: int, seed: int, dtype=np.float32
-) -> dict[str, np.ndarray]:
-    """Attention projection W/b, context vector, and the classifier head.
+def init_sap_params(in_channels: int, d_att: int, n_classes: int, seed: int) -> dict[str, np.ndarray]:
+    """Float32 attention projection W/b, context vector, and the classifier head.
 
-    The head is near-zero so an untrained model scores classes uniformly.
+    The weights are drawn in the order W, mu, head.W; the biases start at
+    zero.  The head is near-zero so an untrained model scores classes
+    uniformly.
     """
     rng = np.random.default_rng(seed)
-    return {
-        "sap.W": (rng.standard_normal((d_att, in_channels)) * np.sqrt(2.0 / in_channels)).astype(dtype),
-        "sap.b": np.zeros(d_att, dtype=dtype),
-        "sap.mu": (rng.standard_normal(d_att) * np.sqrt(1.0 / d_att)).astype(dtype),
-        "head.W": (rng.standard_normal((n_classes, in_channels)) * 0.01).astype(dtype),
-        "head.b": np.zeros(n_classes, dtype=dtype),
-    }
+    scales = {"sap.W": np.sqrt(2.0 / in_channels), "sap.mu": np.sqrt(1.0 / d_att), "head.W": 0.01}
+    params = {}
+    for name, shape in sap_param_shapes(in_channels, d_att, n_classes).items():
+        if name in scales:
+            params[name] = (rng.standard_normal(shape) * scales[name]).astype(np.float32)
+        else:
+            params[name] = np.zeros(shape, dtype=np.float32)
+    return params
 
 
 def sap_forward(x: np.ndarray, params: dict[str, np.ndarray], valid_len=None) -> SapForwardState:

@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from lidkit.augment import AugmentConfig, apply_specaugment
-from lidkit.encoder import EncoderConfig, encoder_param_shapes, encoder_state_shapes
+from lidkit.encoder import EncoderConfig
 from lidkit.features import FeatureMap
-from lidkit.model import Model, batch_from_features, model_backward, model_forward, predict
-from lidkit.sap import sap_param_shapes
+from lidkit.model import Model, batch_from_features, model_backward, model_forward, predict, tensor_table
 from lidkit.tensor_ops import ShapeError
 
 CHECKPOINT_MAGIC = b"LIDK"
@@ -123,22 +122,23 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: fl
 # checkpoints: magic, u32 version, u64 header length, JSON header, f32 blobs
 
 
+def _header_tensors(table) -> list[dict]:
+    return [{"name": name, "shape": list(shape), "kind": kind} for name, shape, kind in table]
+
+
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """Atomic write; save -> load -> save is byte-identical."""
-    tensors = [{"name": k, "shape": list(v.shape), "kind": "param"} for k, v in model.params.items()]
-    tensors += [{"name": k, "shape": list(v.shape), "kind": "state"} for k, v in model.state.items()]
+    """Atomic write of the tensors of ``tensor_table``; save -> load -> save is byte-identical."""
+    table = tensor_table(model.encoder_cfg, model.d_att, model.n_classes)
     header = {
         "encoder": asdict(model.encoder_cfg),
         "d_att": model.d_att,
         "labels": model.labels,
         "step": model.step,
-        "tensors": tensors,
+        "tensors": _header_tensors(table),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blobs = b"".join(
-        np.ascontiguousarray(v, dtype="<f4").tobytes()
-        for v in list(model.params.values()) + list(model.state.values())
-    )
+    by_kind = {"param": model.params, "state": model.state}
+    blobs = b"".join(np.ascontiguousarray(by_kind[kind][name], dtype="<f4").tobytes() for name, _, kind in table)
     payload = CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)) + header_bytes + blobs
     tmp = Path(str(path) + ".tmp")
     tmp.write_bytes(payload)
@@ -146,6 +146,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Model:
+    """Read a checkpoint whose header lists exactly the tensors ``tensor_table`` gives for its config."""
     data = Path(path).read_bytes()
     if len(data) < 16 or data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a LIDK checkpoint")
@@ -158,39 +159,33 @@ def load_checkpoint(path: str | Path) -> Model:
         header = json.loads(data[16 : 16 + header_len].decode("utf-8"))
         check_fields(EncoderConfig, header["encoder"], "encoder")
         cfg = EncoderConfig(**header["encoder"])
-        d_att, labels, step = header["d_att"], header["labels"], header["step"]
-        tensors = [(t["name"], tuple(t["shape"]), t["kind"]) for t in header["tensors"]]
-        if not (is_int(d_att) and is_int(step) and isinstance(labels, list)
-                and all(isinstance(lab, str) for lab in labels)):
-            raise TypeError("d_att and step must be integers and labels a list of strings")
-        for name, shape, kind in tensors:
-            if not (isinstance(name, str) and kind in ("param", "state")
-                    and all(is_int(n) and n >= 0 for n in shape)):
-                raise ValueError(f"bad tensor entry {name!r}: {kind!r} of shape {shape!r}")
+        d_att, labels, step, entries = header["d_att"], header["labels"], header["step"], header["tensors"]
+        if not (is_int(d_att) and d_att >= 0 and is_int(step) and isinstance(labels, list)
+                and all(isinstance(lab, str) for lab in labels) and isinstance(entries, list)):
+            raise TypeError("d_att must be an integer >= 0, step an integer, labels a list of strings "
+                            "and tensors a list")
     except (KeyError, TypeError, ValueError, OverflowError, ShapeError) as exc:  # ValueError: bad UTF-8 or JSON
         raise CheckpointError(f"{path}: corrupt header: {exc!r}") from exc
-    # the tensors build_model makes for this config, d_att and labels, in save order
-    layout = [(f"enc.{k}", s, "param") for k, s in encoder_param_shapes(cfg).items()]
-    layout += [(k, s, "param") for k, s in sap_param_shapes(cfg.out_channels, d_att, len(labels)).items()]
-    layout += [(f"enc.{k}", s, "state") for k, s in encoder_state_shapes(cfg).items()]
-    for i, (entry, want) in enumerate(zip_longest(tensors, layout)):
+    table = tensor_table(cfg, d_att, len(labels))
+    # compared as JSON text, so that 2.0 or true cannot stand in for an integer
+    for i, (entry, want) in enumerate(zip_longest(entries, _header_tensors(table))):
+        entry, want = json.dumps(entry, sort_keys=True), json.dumps(want, sort_keys=True)
         if entry != want:
             raise CheckpointError(f"{path}: tensor {i} is {entry}, the header's config needs {want}")
 
     blob = data[16 + header_len :]
-    expected = sum(math.prod(shape) for _, shape, _ in tensors) * 4
+    expected = sum(math.prod(shape) for _, shape, _ in table) * 4
     if len(blob) != expected:
         raise CheckpointError(f"{path}: blob section holds {len(blob)} bytes, header declares {expected}")
 
-    params: dict[str, np.ndarray] = {}
-    state: dict[str, np.ndarray] = {}
+    model = Model(encoder_cfg=cfg, d_att=d_att, labels=labels, params={}, state={}, step=step)
+    by_kind = {"param": model.params, "state": model.state}
     offset = 0
-    for name, shape, kind in tensors:
+    for name, shape, kind in table:
         count = math.prod(shape)
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
+        by_kind[kind][name] = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
         offset += count * 4
-        (params if kind == "param" else state)[name] = arr
-    return Model(encoder_cfg=cfg, d_att=d_att, labels=labels, params=params, state=state, step=step)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +241,7 @@ def train(
         if not (0 <= label < n_classes):
             raise TrainError(f"label index {label} outside the model's {n_classes} classes")
 
-    steps_per_epoch = math.ceil(len(train_data) / cfg.batch_size)
+    steps_per_epoch = -(-len(train_data) // cfg.batch_size)  # in integers: a float quotient underflows to 0
     total_steps = cfg.total_steps if cfg.total_steps is not None else cfg.epochs * steps_per_epoch
 
     history: list[dict] = []

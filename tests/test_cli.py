@@ -49,27 +49,24 @@ class TestFeaturize:
     def test_empty_manifest_nonzero_exit(self, tmp_path):
         manifest = tmp_path / "empty.jsonl"
         manifest.write_text("")
-        assert main(["featurize", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        assert main(["featurize", "--manifest", str(manifest)]) == 2
 
-    def test_two_clip_manifest(self, tmp_path, corpus_dir):
+    def test_two_clip_manifest(self, tmp_path, corpus_dir, capsys):
         _, _, records = corpus_dir
         manifest = tmp_path / "two.jsonl"
         manifest.write_text("\n".join(json.dumps(r) for r in records[:2]) + "\n")
-        out = tmp_path / "feats"
-        assert main(["featurize", "--manifest", str(manifest), "--out", str(out)]) == 0
-        summary = json.loads((out / "featurize_summary.json").read_text())
+        assert main(["featurize", "--manifest", str(manifest)]) == 0
+        summary = json.loads(capsys.readouterr().out)
         assert summary["count"] == 2
 
-    def test_unreadable_path_partial_failure(self, tmp_path, corpus_dir):
+    def test_unreadable_path_partial_failure(self, tmp_path, corpus_dir, capsys):
         _, _, records = corpus_dir
         manifest = tmp_path / "mixed.jsonl"
         rows = [records[0], {"audio_filepath": str(tmp_path / "missing.wav"), "label": "x"}]
         manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        out = tmp_path / "feats"
-        assert main(["featurize", "--manifest", str(manifest), "--out", str(out)]) == 3
-        assert main(["featurize", "--manifest", str(manifest), "--out", str(out),
-                     "--allow-partial"]) == 0
-        summary = json.loads((out / "featurize_summary.json").read_text())
+        assert main(["featurize", "--manifest", str(manifest)]) == 3
+        assert main(["featurize", "--manifest", str(manifest), "--allow-partial"]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert len(summary["failures"]) == 1
 
 
@@ -381,7 +378,7 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
     return {
         "train_missing_manifest": ["train", "--manifest", missing, "--split", "0.75", "--out", str(tmp_path / "o")],
         "evaluate_missing_manifest": evaluate + ["--manifest", missing, "--taxonomy", str(taxonomy)],
-        "featurize_missing_manifest": ["featurize", "--manifest", missing, "--out", str(tmp_path / "o")],
+        "featurize_missing_manifest": ["featurize", "--manifest", missing],
         "missing_taxonomy": evaluate + ["--manifest", str(manifest), "--taxonomy", str(tmp_path / "no.tsv")],
         "taxonomy_without_trained_label": evaluate + ["--manifest", str(manifest), "--taxonomy", str(taxonomy)],
         "predict_other_n_mels": ["predict", "--checkpoint", str(checkpoint), "--wav", wav, "--config", str(mels)],
@@ -389,7 +386,7 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
                                       "--config", str(tiny_config)],
         # names that build_model does not make used to load and end predict in a KeyError
         "renamed_tensor": ["predict", "--checkpoint", renamed, "--wav", wav, "--config", str(tiny_config)],
-        "featurize_nul_path": ["featurize", "--manifest", str(nul_manifest), "--out", str(tmp_path / "o")],
+        "featurize_nul_path": ["featurize", "--manifest", str(nul_manifest)],
         # a negative fraction would train on a slice counted from the end
         "negative_split": ["train", "--manifest", str(manifest), "--split", "-0.5", "--out", str(tmp_path / "o")],
         # np.random.default_rng raises ValueError on a negative seed

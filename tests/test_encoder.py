@@ -85,12 +85,12 @@ class TestBuild:
                          (f"{name}.bn.gamma", (c_out,)), (f"{name}.bn.beta", (c_out,))]
 
         expected = [
-            ("prologue.dw", (5, 3)), ("prologue.pw_w", (4, 5)), ("prologue.pw_b", (4,)),
-            ("prologue.bn.gamma", (4,)), ("prologue.bn.beta", (4,)),
-            *layer("block0.sub0", 4, 4, 3), *layer("block0.sub1", 4, 4, 3), *layer("block0.res", 4, 4),
-            *layer("block1.sub0", 4, 3, 5), *layer("block1.sub1", 3, 3, 5), *layer("block1.res", 4, 3),
-            ("epilogue.pw_w", (6, 3)), ("epilogue.pw_b", (6,)),
-            ("epilogue.bn.gamma", (6,)), ("epilogue.bn.beta", (6,)),
+            ("enc.prologue.dw", (5, 3)), ("enc.prologue.pw_w", (4, 5)), ("enc.prologue.pw_b", (4,)),
+            ("enc.prologue.bn.gamma", (4,)), ("enc.prologue.bn.beta", (4,)),
+            *layer("enc.block0.sub0", 4, 4, 3), *layer("enc.block0.sub1", 4, 4, 3), *layer("enc.block0.res", 4, 4),
+            *layer("enc.block1.sub0", 4, 3, 5), *layer("enc.block1.sub1", 3, 3, 5), *layer("enc.block1.res", 4, 3),
+            ("enc.epilogue.pw_w", (6, 3)), ("enc.epilogue.pw_b", (6,)),
+            ("enc.epilogue.bn.gamma", (6,)), ("enc.epilogue.bn.beta", (6,)),
         ]
         assert list(encoder_param_shapes(cfg).items()) == expected
 
@@ -146,17 +146,17 @@ class TestForward:
             return T.batch_norm_1d(v, params[f"{prefix}.gamma"], params[f"{prefix}.beta"],
                                    state[f"{prefix}.mean"], state[f"{prefix}.var"], "eval")[0]
 
-        h = T.conv1d_depthwise(x, params["prologue.dw"])
-        h = T.conv1d_pointwise(h, params["prologue.pw_w"], params["prologue.pw_b"])
-        h = T.relu(bn_eval(h, "prologue.bn"))
+        h = T.conv1d_depthwise(x, params["enc.prologue.dw"])
+        h = T.conv1d_pointwise(h, params["enc.prologue.pw_w"], params["enc.prologue.pw_b"])
+        h = T.relu(bn_eval(h, "enc.prologue.bn"))
         for b in range(cfg.num_blocks):
-            res = T.conv1d_pointwise(h, params[f"block{b}.res.pw_w"], params[f"block{b}.res.pw_b"])
-            res = bn_eval(res, f"block{b}.res.bn")
+            res = T.conv1d_pointwise(h, params[f"enc.block{b}.res.pw_w"], params[f"enc.block{b}.res.pw_b"])
+            res = bn_eval(res, f"enc.block{b}.res.bn")
             # zeroed sub-blocks contribute bn_eval(0) before the residual join
-            zero_branch = bn_eval(np.zeros_like(res), f"block{b}.sub{cfg.sub_blocks - 1}.bn")
+            zero_branch = bn_eval(np.zeros_like(res), f"enc.block{b}.sub{cfg.sub_blocks - 1}.bn")
             h = T.relu(zero_branch + res)
-        h = T.conv1d_pointwise(h, params["epilogue.pw_w"], params["epilogue.pw_b"])
-        expected = T.relu(bn_eval(h, "epilogue.bn"))
+        h = T.conv1d_pointwise(h, params["enc.epilogue.pw_w"], params["enc.epilogue.pw_b"])
+        expected = T.relu(bn_eval(h, "enc.epilogue.bn"))
         assert np.max(np.abs(out - expected)) <= 1e-10
 
 
@@ -269,5 +269,5 @@ class TestBackward:
         grad_x, grads = encoder_backward(params, cache, probe)
         # epilogue bias gradient equals the probe mass where the ReLU is active
         active = (out > 0).astype(np.float64)
-        assert np.allclose(grads["epilogue.pw_b"] * 0 + grads["epilogue.bn.beta"],
+        assert np.allclose(grads["enc.epilogue.pw_b"] * 0 + grads["enc.epilogue.bn.beta"],
                            np.sum(probe * active, axis=(0, 2)))

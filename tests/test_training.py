@@ -9,7 +9,7 @@ import pytest
 from lidkit.augment import AugmentConfig
 from lidkit.encoder import EncoderConfig
 from lidkit.features import FeatureConfig, FeatureMap
-from lidkit.model import batch_from_features, build_model, model_backward, model_forward
+from lidkit.model import batch_from_features, build_model, model_backward, model_forward, tensor_table
 from lidkit.training import (
     FIELD_RULES,
     CheckpointError,
@@ -23,6 +23,7 @@ from lidkit.training import (
     sgd_step,
     train,
 )
+from tests.conftest import DATA_DIR
 
 TINY = EncoderConfig(channels=(4, 4), kernel_sizes=(3, 3), sub_blocks=2, input_dim=8,
                      out_channels=6, dropout_rate=0.0)
@@ -213,6 +214,48 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="not a LIDK"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("cfg", [
+        EncoderConfig.tiny(),
+        EncoderConfig(channels=(4,) * 5, kernel_sizes=(33, 39, 51, 63, 75), sub_blocks=5, out_channels=8),
+    ], ids=["tiny", "paper_kernels"])
+    def test_tensor_table_lists_what_build_model_makes(self, cfg):
+        model = build_model(cfg, ["a", "b", "c"], seed=0, d_att=5)
+        made = [(k, v.shape, "param") for k, v in model.params.items()]
+        made += [(k, v.shape, "state") for k, v in model.state.items()]
+        assert tensor_table(cfg, 5, 3) == made
+
+    @pytest.mark.parametrize("index,edit", [
+        (1, lambda t: t.update(shape=[float(n) for n in t["shape"]])),
+        (4, lambda t: t["shape"].__setitem__(0, True)),
+        (0, lambda t: t.update(kind="buffer")),
+        (-1, lambda t: t.update(dtype="<f4")),
+    ], ids=["float_dims", "true_dim", "unknown_kind", "extra_key"])
+    def test_header_entry_must_match_the_table_exactly(self, tmp_path, index, edit):
+        path = tmp_path / "m.lidk"
+        save_checkpoint(toy_model(seed=9), path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16 : 16 + header_len])
+        edit(header["tensors"][index])
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + raw[16 + header_len :])
+        with pytest.raises(CheckpointError, match=f"tensor {index % len(header['tensors'])} is "):
+            load_checkpoint(path)
+
+    def test_committed_checkpoint_loads_and_resaves_byte_identical(self, tmp_path):
+        # written by an earlier release; pins the on-disk format
+        path = DATA_DIR / "checkpoint_tiny_v1.lidk"
+        loaded = load_checkpoint(path)
+        built = build_model(EncoderConfig.tiny(), ["a", "b", "c"], seed=0, d_att=8)
+        assert loaded.encoder_cfg == built.encoder_cfg and loaded.labels == built.labels
+        assert (loaded.d_att, loaded.step) == (8, 0)
+        for mine, theirs in ((loaded.params, built.params), (loaded.state, built.state)):
+            assert list(mine) == list(theirs)
+            for k in mine:
+                assert mine[k].dtype == theirs[k].dtype and np.array_equal(mine[k], theirs[k]), k
+        save_checkpoint(loaded, tmp_path / "resaved.lidk")
+        assert (tmp_path / "resaved.lidk").read_bytes() == path.read_bytes()
+
 
 class TestTrainLoop:
     def test_two_seeded_runs_bit_identical(self):
@@ -275,6 +318,13 @@ class TestTrainLoop:
         model = toy_model(seed=3)
         with pytest.raises(TrainError):
             train(model, [], [], TrainConfig(epochs=1, batch_size=4))
+
+    def test_batch_size_beyond_float_range_takes_one_full_batch_per_epoch(self):
+        # len(data) / 10**400 underflows to 0.0 as a float, which made zero steps per epoch
+        model = toy_model(seed=4)
+        result = train(model, toy_dataset(n_per_class=2, seed=17), toy_dataset(n_per_class=1, seed=18),
+                       TrainConfig(epochs=2, batch_size=10**400, seed=0))
+        assert model.step == 2 and len(result.history) == 2
 
     def test_batch_size_one_rejected(self):
         with pytest.raises(TrainError):
