@@ -182,7 +182,10 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model = build_model(cfg["encoder"], train_labels, tcfg.seed, d_att=cfg["d_att"])
+    try:
+        model = build_model(cfg["encoder"], train_labels, tcfg.seed, d_att=cfg["d_att"])
+    except (ValueError, OverflowError, MemoryError) as exc:  # a size numpy cannot allocate
+        raise CliError(f"cannot build the model the run config describes: {exc}") from exc
     aug = cfg["augment"] if cfg["augment"].enabled else None
     result = train(model, train_set, val_set, tcfg, aug=aug)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,8 +42,8 @@ class FeatureConfig:
             raise FeatureError("fft_size smaller than the analysis window")
         if not (0 < self.f_min < self.f_max <= self.sample_rate / 2):
             raise FeatureError("need 0 < f_min < f_max <= Nyquist")
-        if self.n_mels < 1:
-            raise FeatureError("n_mels must be >= 1")
+        if not 1 <= self.n_mels <= self.fft_size // 2 + 1:  # each filter needs a frequency bin
+            raise FeatureError(f"n_mels must be in [1, fft_size // 2 + 1 = {self.fft_size // 2 + 1}]")
         if not (0.0 <= self.preemphasis < 1.0):
             raise FeatureError("preemphasis must be in [0, 1)")
         if self.log_floor <= 0:
@@ -114,6 +115,15 @@ def frame_count(n_samples: int, config: FeatureConfig) -> int:
     return 1 + (n_samples - win) // hop
 
 
+@functools.lru_cache(maxsize=8)
+def _analysis_tables(config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The Hamming window and the float64 mel filterbank of ``config``, built once and read-only."""
+    window = np.hamming(config.win_samples)
+    fb = mel_filterbank(config).astype(np.float64)
+    window.flags.writeable = fb.flags.writeable = False
+    return window, fb
+
+
 def compute_mfsc(clip: AudioClip, config: FeatureConfig) -> FeatureMap:
     """Pre-emphasis -> framing -> Hamming window -> power spectrum -> mel -> log.
 
@@ -135,11 +145,9 @@ def compute_mfsc(clip: AudioClip, config: FeatureConfig) -> FeatureMap:
     if len(x) < win:
         x = np.pad(x, (0, win - len(x)))
 
-    window = np.hamming(win)
-    frames = np.stack([x[t * hop : t * hop + win] for t in range(n_frames)])
+    window, fb = _analysis_tables(config)
+    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop][:n_frames]
     spectrum = np.fft.rfft(frames * window, n=config.fft_size, axis=1)
     power = np.abs(spectrum) ** 2
-
-    fb = mel_filterbank(config).astype(np.float64)
     feats = np.log(power @ fb.T + config.log_floor)
     return FeatureMap(data=feats.astype(np.float32), frame_hop=config.frame_hop, id=clip.id)

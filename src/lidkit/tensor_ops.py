@@ -32,6 +32,22 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
+def _rfft(a: np.ndarray, n: int) -> np.ndarray:
+    """``np.fft.rfft(a, n)``, computed in float32 when ``a`` is float32.
+
+    With the default norm numpy passes the int scale 1, which sends float32
+    input through its float64 loop: a float64 copy, transformed in double
+    precision and rounded back to complex64.  norm="forward" passes a float32
+    1/n instead; the factor n is restored in place.  Other dtypes keep the
+    default call, so float64 results are unchanged bit for bit.
+    """
+    if a.dtype != np.float32:
+        return np.fft.rfft(a, n)
+    spec = np.fft.rfft(a, n, norm="forward")
+    spec *= n
+    return spec
+
+
 def _half_width(x: np.ndarray, kernels: np.ndarray) -> int:
     c, k = kernels.shape
     if k % 2 == 0:
@@ -46,6 +62,8 @@ def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
     The correlation is the linear convolution with the reversed kernel, read
     from offset K//2 and computed by FFT (Mathieu et al. 2013, arXiv:1312.5851).
+    Each operand is transformed at its own precision: float32 in numpy's
+    float32 loop (``_rfft``), float64 exactly as ``np.fft.rfft`` does.
     A K = 1 kernel is a per-channel scale and is applied exactly.
     """
     half = _half_width(x, kernels)
@@ -53,7 +71,7 @@ def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     if k == 1:
         return (kernels * x).astype(x.dtype, copy=False)
     n = _fft_length(t + k - 1)
-    spec = np.fft.rfft(x, n) * np.fft.rfft(kernels[:, ::-1], n)
+    spec = _rfft(x, n) * _rfft(kernels[:, ::-1], n)
     return np.fft.irfft(spec, n)[..., half : half + t].astype(x.dtype)  # a copy, not a view of the buffer
 
 
@@ -66,9 +84,9 @@ def conv1d_depthwise_backward(grad_out: np.ndarray, x: np.ndarray, kernels: np.n
     # the adjoint of the correlation convolves grad_out with the kernel;
     # grad_k[j] = sum_{n,t} grad_out[t] * x[t + j - K//2], the lags -K//2..K//2
     n = _fft_length(t + k - 1)
-    spec_g = np.fft.rfft(grad_out, n)
-    grad_x = np.fft.irfft(spec_g * np.fft.rfft(kernels, n), n)[..., half : half + t].astype(x.dtype)
-    lags = np.fft.irfft(np.sum(np.fft.rfft(x, n) * spec_g.conj(), axis=0), n)
+    spec_g = _rfft(grad_out, n)
+    grad_x = np.fft.irfft(spec_g * _rfft(kernels, n), n)[..., half : half + t].astype(x.dtype)
+    lags = np.fft.irfft(np.sum(_rfft(x, n) * spec_g.conj(), axis=0), n)
     grad_k = np.concatenate((lags[:, n - half :], lags[:, : half + 1]), axis=1).astype(kernels.dtype)
     return grad_x, grad_k
 

@@ -372,6 +372,13 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
     negative_patience.write_text(json.dumps({"train": {"epochs": 4, "batch_size": 4, "patience": -1}}))
     zero_total_steps = tmp_path / "total_steps.json"
     zero_total_steps.write_text(json.dumps({"train": {"total_steps": 0}}))
+    # sizes numpy refuses before allocating anything; they used to end train in a traceback
+    huge = {"huge_channels": {"encoder": {"channels": [10**400], "kernel_sizes": [3]}},
+            "huge_kernel": {"encoder": {"channels": [8], "kernel_sizes": [10**400 + 1]}},
+            "huge_d_att": {"d_att": 10**400},
+            "huge_n_mels": {"features": {"n_mels": 10**400}}}
+    for name, doc in huge.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     split = ["train", "--manifest", str(manifest), "--split", "0.75", "--out", str(tmp_path / "o")]
     evaluate = ["evaluate", "--checkpoint", str(checkpoint), "--config", str(tiny_config),
                 "--out", str(tmp_path / "eval")]
@@ -395,6 +402,7 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
         # a negative patience used to stop training after the first epoch, and exit 0
         "config_negative_patience": split + ["--config", str(negative_patience)],
         "config_zero_total_steps": split + ["--config", str(zero_total_steps)],
+        **{f"config_{name}": split + ["--config", str(tmp_path / f"{name}.json")] for name in huge},
         "gradcheck_negative_seed": ["gradcheck", "--seed", "-1"],
         # an empty manifest leaves nothing to predict
         "predict_empty_manifest": ["predict", "--checkpoint", str(checkpoint), "--manifest", str(empty_manifest),
@@ -408,7 +416,8 @@ class TestErrors:
         "missing_taxonomy", "taxonomy_without_trained_label", "predict_other_n_mels",
         "checkpoint_without_labels", "negative_split", "renamed_tensor", "featurize_nul_path",
         "train_negative_seed", "config_negative_seed", "gradcheck_negative_seed", "predict_empty_manifest",
-        "config_negative_patience", "config_zero_total_steps",
+        "config_negative_patience", "config_zero_total_steps", "config_huge_channels", "config_huge_kernel",
+        "config_huge_d_att", "config_huge_n_mels",
     ])
     def test_exits_2_with_one_error_line(self, case, tmp_path, corpus_dir, trained_dir, tiny_config, capsys):
         argv = _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config)[case]

@@ -11,6 +11,7 @@ from lidkit.features import (
     hz_to_mel,
     mel_filterbank,
 )
+from lidkit.features import _analysis_tables
 
 
 def naive_dft(x):
@@ -43,9 +44,15 @@ class TestMelScale:
         assert np.all(np.diff(centers) > 0)
 
     def test_too_many_mels_reported(self):
-        cfg = FeatureConfig(frame_length=0.004, fft_size=64, n_mels=40)
+        # 33 filters fit the 33 bins of a 64-point FFT, but the lowest triangle spans no bin
+        cfg = FeatureConfig(frame_length=0.004, fft_size=64, n_mels=33)
         with pytest.raises(FeatureError, match="empty"):
             mel_filterbank(cfg)
+
+    @pytest.mark.parametrize("n_mels", [34, 40, 10**400])
+    def test_more_mels_than_bins_refused_by_the_config(self, n_mels):
+        with pytest.raises(FeatureError, match="n_mels"):
+            FeatureConfig(frame_length=0.004, fft_size=64, n_mels=n_mels)
 
 
 class TestDftProperties:
@@ -136,3 +143,34 @@ class TestComputeMfsc:
         samples = rng.uniform(-1, 1, 5000).astype(np.float32)
         fm = compute_mfsc(make_clip(samples), FeatureConfig())
         assert np.all(np.isfinite(fm.data))
+
+
+class TestCachedFrontEnd:
+    @staticmethod
+    def per_clip_formula(samples, cfg):
+        """compute_mfsc as it was written when it rebuilt its window and filterbank for every clip."""
+        x = np.asarray(samples, dtype=np.float64)
+        x = np.concatenate([x[:1], x[1:] - cfg.preemphasis * x[:-1]])
+        win, hop = cfg.win_samples, cfg.hop_samples
+        n_frames = frame_count(len(x), cfg)
+        if len(x) < win:
+            x = np.pad(x, (0, win - len(x)))
+        frames = np.stack([x[t * hop : t * hop + win] for t in range(n_frames)])
+        power = np.abs(np.fft.rfft(frames * np.hamming(win), n=cfg.fft_size, axis=1)) ** 2
+        fb = mel_filterbank(cfg).astype(np.float64)
+        return np.log(power @ fb.T + cfg.log_floor).astype(np.float32)
+
+    # shorter than one window, exactly one window, 1 s, and a length off the 160-sample hop grid
+    @pytest.mark.parametrize("n", [100, 400, 16000, 16037])
+    def test_bit_identical_to_the_per_clip_formula(self, n):
+        cfg = FeatureConfig()
+        samples = np.random.default_rng(n).uniform(-1, 1, n).astype(np.float32)
+        for _ in range(2):  # the second clip reads the cached tables
+            assert np.array_equal(compute_mfsc(make_clip(samples), cfg).data, self.per_clip_formula(samples, cfg))
+
+    def test_cached_tables_are_read_only(self):
+        window, fb = _analysis_tables(FeatureConfig())
+        for table in (window, fb):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+        assert mel_filterbank(FeatureConfig()).flags.writeable
