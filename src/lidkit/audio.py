@@ -54,10 +54,11 @@ def decode_wav(data: bytes, clip_id: str = "", max_duration: float = MAX_DURATIO
     fmt = None
     payload = None
     pos = 12
+    view = memoryview(data)  # chunk bodies are read in place, not copied
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (chunk_len,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + chunk_len]
+        body = view[pos + 8 : pos + 8 + chunk_len]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise MalformedWavError("fmt chunk truncated")
@@ -86,14 +87,10 @@ def decode_wav(data: bytes, clip_id: str = "", max_duration: float = MAX_DURATIO
     if len(payload) < 2 * n_channels:
         raise EmptyPayloadError("data chunk holds no samples")
 
-    frame_bytes = 2 * n_channels
-    n_frames = len(payload) // frame_bytes
-    raw = np.frombuffer(payload[: n_frames * frame_bytes], dtype="<i2")
+    # frames past max_duration are cut before any of them is converted
+    n_frames = min(len(payload) // (2 * n_channels), int(max_duration * sample_rate))
+    raw = np.frombuffer(payload, dtype="<i2", count=n_frames * n_channels)
     samples = raw.reshape(n_frames, n_channels).mean(axis=1) / 32768.0
-
-    max_samples = int(max_duration * sample_rate)
-    if len(samples) > max_samples:
-        samples = samples[:max_samples]
     return AudioClip(samples=samples.astype(np.float32), sample_rate=sample_rate, id=clip_id)
 
 

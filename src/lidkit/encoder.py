@@ -2,7 +2,9 @@
 
 B blocks of R sub-blocks; each sub-block is depthwise conv -> pointwise
 conv -> batch norm -> ReLU -> dropout.  The block input joins via a 1x1
-conv + batch norm skip projection, added before the block's final ReLU.
+conv + batch norm skip projection, added before the block's final ReLU;
+the projection runs right there, after the block's last layer, so its
+output is not held through the block's depthwise convs.
 A prologue sub-block lifts the feature dimension into the first block and
 a pointwise epilogue maps to the frame-feature width.  Stride 1 and
 dilation 1 everywhere, so time length is preserved end to end.
@@ -187,7 +189,10 @@ def encoder_forward(
     returned frames), so it costs no bytes of its own.  encoder_backward
     consumes the cache.  Eval mode is inference only: it keeps no cache
     and returns None in its place, so each layer's arrays are freed once
-    the next layer has read them.
+    the next layer has read them.  A block's skip projection is computed
+    from the kept block input after the block's last layer, where its
+    output is added; it draws no random numbers and owns its batch-norm
+    state, so the result is the same as computing it first.
     """
     if x.ndim != 3 or x.shape[1] != cfg.input_dim:
         raise ShapeError(f"expected (N, {cfg.input_dim}, T) input, got {x.shape}")
@@ -202,13 +207,16 @@ def encoder_forward(
     h = x
     caches = []
     for layers, skip, drop in encoder_blocks(cfg):
-        skip_out, skip_cache = _conv_bn(h, params, state, skip, mode, mask) if skip else (None, None)
+        block_in, skip_cache = h, None
         layer_caches = []
         for i, layer in enumerate(layers):
             pre, conv_cache = _conv_bn(h, params, state, layer, mode, mask)
-            if skip_out is not None and i == len(layers) - 1:
+            if skip is not None and i == len(layers) - 1:
+                skip_out, skip_cache = _conv_bn(block_in, params, state, skip, mode, mask)
                 pre += skip_out  # pre is batch norm's fresh output, referenced by no cache
+                del skip_out
             h, drop_mask = dropout(relu(pre), cfg.dropout_rate if drop else 0.0, rng, mode)
+            del pre  # nothing reads it now: free it before the next layer's transforms
             if mask is not None:
                 h = h * mask
             if train:

@@ -16,6 +16,14 @@ class ShapeError(Exception):
     pass
 
 
+def _into(buf: np.ndarray, *operands):
+    """``buf`` as the out= of an op on ``operands`` when the op yields buf's dtype, else None.
+
+    Written in place only then, each step rounds as it would out of place.
+    """
+    return buf if np.result_type(*operands) == buf.dtype else None
+
+
 # ---------------------------------------------------------------------------
 # depthwise 1D convolution over time, one kernel per channel
 
@@ -48,6 +56,24 @@ def _rfft(a: np.ndarray, n: int) -> np.ndarray:
     return spec
 
 
+def _kernel_spectrum(kernels: np.ndarray, n: int) -> np.ndarray:
+    """``np.fft.rfft(kernels, n)`` of a (C, K) bank, as one GEMM when the bank is float32.
+
+    A K-tap row has n//2+1 frequencies, each a K-term sum: ``kernels @ D``
+    with D = rfft(eye(K), n), the DFT of each unit impulse.  D is rounded to
+    complex64 and viewed as a (K, 2*(n//2+1)) float32 table, so the float32
+    product, viewed as complex64, is the spectrum: one BLAS call instead of
+    C transforms of length n.  The table is built on each call, in about the
+    time of the product; a cache of tables saved no measurable time, and one
+    of spectra would have to follow every change of the weights.  Other
+    dtypes keep ``np.fft.rfft``, as ``_rfft`` does.
+    """
+    if kernels.dtype != np.float32:
+        return np.fft.rfft(kernels, n)
+    table = np.fft.rfft(np.eye(kernels.shape[1]), n).astype(np.complex64).view(np.float32)
+    return (kernels @ table).view(np.complex64)
+
+
 def _half_width(x: np.ndarray, kernels: np.ndarray) -> int:
     c, k = kernels.shape
     if k % 2 == 0:
@@ -62,8 +88,12 @@ def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
     The correlation is the linear convolution with the reversed kernel, read
     from offset K//2 and computed by FFT (Mathieu et al. 2013, arXiv:1312.5851).
-    Each operand is transformed at its own precision: float32 in numpy's
-    float32 loop (``_rfft``), float64 exactly as ``np.fft.rfft`` does.
+    Each operand is transformed at its own precision: float32 input in
+    numpy's float32 loop (``_rfft``), a float32 kernel bank by one GEMM
+    against a DFT table (``_kernel_spectrum``), float64 exactly as
+    ``np.fft.rfft`` does.  The spectra are multiplied in place when that
+    rounds as out of place would, and the product is freed before the
+    output is copied out of the padded buffer.
     A K = 1 kernel is a per-channel scale and is applied exactly.
     """
     half = _half_width(x, kernels)
@@ -71,8 +101,13 @@ def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     if k == 1:
         return (kernels * x).astype(x.dtype, copy=False)
     n = _fft_length(t + k - 1)
-    spec = _rfft(x, n) * _rfft(kernels[:, ::-1], n)
-    return np.fft.irfft(spec, n)[..., half : half + t].astype(x.dtype)  # a copy, not a view of the buffer
+    spec = _rfft(x, n)
+    spec_k = _kernel_spectrum(kernels[:, ::-1], n)
+    spec = np.multiply(spec, spec_k, out=_into(spec, spec, spec_k))
+    del spec_k
+    y = np.fft.irfft(spec, n)
+    del spec
+    return y[..., half : half + t].astype(x.dtype)  # a copy, not a view of the buffer
 
 
 def conv1d_depthwise_backward(grad_out: np.ndarray, x: np.ndarray, kernels: np.ndarray):
@@ -85,7 +120,7 @@ def conv1d_depthwise_backward(grad_out: np.ndarray, x: np.ndarray, kernels: np.n
     # grad_k[j] = sum_{n,t} grad_out[t] * x[t + j - K//2], the lags -K//2..K//2
     n = _fft_length(t + k - 1)
     spec_g = _rfft(grad_out, n)
-    grad_x = np.fft.irfft(spec_g * _rfft(kernels, n), n)[..., half : half + t].astype(x.dtype)
+    grad_x = np.fft.irfft(spec_g * _kernel_spectrum(kernels, n), n)[..., half : half + t].astype(x.dtype)
     lags = np.fft.irfft(np.sum(_rfft(x, n) * spec_g.conj(), axis=0), n)
     grad_k = np.concatenate((lags[:, n - half :], lags[:, : half + 1]), axis=1).astype(kernels.dtype)
     return grad_x, grad_k
@@ -119,14 +154,6 @@ def conv1d_pointwise_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.n
 
 BN_MOMENTUM = 0.1
 BN_EPSILON = 1e-5
-
-
-def _into(buf: np.ndarray, *operands):
-    """``buf`` as the out= of an op on ``operands`` when the op yields buf's dtype, else None.
-
-    Written in place only then, each step rounds as it would out of place.
-    """
-    return buf if np.result_type(*operands) == buf.dtype else None
 
 
 def batch_norm_1d(

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,30 @@ def test_long_clip_truncated_to_max_duration():
     clip = decode_wav(wav_bytes([100] * (21 * sr), sample_rate=sr))
     assert len(clip.samples) == 20 * sr
     assert clip.duration == pytest.approx(20.0)
+
+
+@pytest.mark.parametrize("n_channels", [1, 2])
+def test_truncated_samples_equal_the_whole_payload_formula(n_channels):
+    # the kept samples are the channel mean of the first 20 s, scaled as the whole payload would be
+    sr = 1000
+    raw = np.random.default_rng(n_channels).integers(-32768, 32768, size=(21 * sr + 7, n_channels))
+    clip = decode_wav(wav_bytes(raw, sample_rate=sr, n_channels=n_channels))
+    want = (raw.astype("<i2").mean(axis=1) / 32768.0)[: 20 * sr].astype(np.float32)
+    assert np.array_equal(clip.samples, want)
+
+
+def test_long_file_converts_only_the_kept_samples():
+    # ten minutes of 16 kHz mono: the whole payload in float64 peaked at 5.1x the file's bytes
+    raw = np.random.default_rng(0).integers(-32768, 32768, size=600 * 16000)
+    data = wav_bytes(raw)
+    tracemalloc.start()
+    try:
+        clip = decode_wav(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(clip.samples) == 20 * 16000
+    assert peak < 2 * len(data)
 
 
 def test_samples_bounded_and_finite():

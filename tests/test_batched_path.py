@@ -222,3 +222,20 @@ def test_eval_forward_peak_memory_flat_in_depth():
     # a cache of every layer's arrays would add ~0.4 MB per conv layer here
     one, six = _eval_forward_peak_bytes(1), _eval_forward_peak_bytes(6)
     assert six <= 1.1 * one, (one, six)
+
+
+def test_paper_width_predict_peak_memory():
+    # the benchmark's 20 s prediction: one 512-channel single-sub-block block per paper kernel
+    # width; a skip output or a pre-activation held through a depthwise conv costs one activation
+    cfg = EncoderConfig(channels=(512,) * 5, kernel_sizes=(33, 39, 51, 63, 75), sub_blocks=1, input_dim=40,
+                        out_channels=512, dropout_rate=0.1)
+    model = build_model(cfg, [f"lang{i}" for i in range(6)], seed=0, d_att=256)
+    fm = FeatureMap(np.random.default_rng(8).standard_normal((1998, 40)).astype(np.float32), frame_hop=0.01)
+    activation = 512 * 1998 * 4
+    tracemalloc.start()
+    try:
+        predict(model, fm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.6 * activation, peak / activation

@@ -145,6 +145,56 @@ class TestDepthwiseConvFFT:
                 tracemalloc.stop()
             assert peak < bound * x.nbytes
 
+    def test_forward_frees_its_spectra(self):
+        # the kernel spectrum and the spectra's product used to stay alive until the output
+        # was copied out of the padded buffer: a peak of 3.3x x.nbytes
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((1, 512, 1998)).astype(np.float32)
+        kernels = rng.standard_normal((512, 75)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            T.conv1d_depthwise(x, kernels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * x.nbytes
+
+    @pytest.mark.parametrize("k", [3, 33, 75])
+    @pytest.mark.parametrize("t", [98, 1998])
+    def test_float32_kernel_spectrum_by_gemm(self, k, t):
+        # float32 banks take one GEMM against a complex64 DFT table instead of C transforms
+        rng = np.random.default_rng([k, t, 1])
+        kernels = rng.standard_normal((64, k)).astype(np.float32)
+        n = T._fft_length(t + k - 1)
+        got = T._kernel_spectrum(kernels[:, ::-1], n)
+        ref = np.fft.rfft(kernels[:, ::-1].astype(np.float64), n)
+        assert got.dtype == np.complex64 and got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    def test_float64_input_with_float32_kernels(self):
+        # a training step feeds float64 activations (after the first dropout) to float32 kernels
+        rng = np.random.default_rng(21)
+        x, g = rng.standard_normal((2, 2, 6, 120))
+        kernels = rng.standard_normal((6, 33)).astype(np.float32)
+        out = T.conv1d_depthwise(x, kernels)
+        gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
+        want = np.stack([naive_depthwise(xi, kernels.astype(np.float64)) for xi in x])
+        want_gx, want_gk = naive_depthwise_backward(g, x, kernels.astype(np.float64))
+        for got, ref, dtype in ((out, want, np.float64), (gx, want_gx, np.float64), (gk, want_gk, np.float32)):
+            assert got.dtype == dtype
+            assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    def test_float32_input_with_float64_kernels(self):
+        # the complex128 product must not be rounded into the complex64 input spectrum
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((2, 64, 300)).astype(np.float32)
+        kernels = rng.standard_normal((64, 33))
+        t, half = x.shape[2], 33 // 2
+        n = T._fft_length(t + 33 - 1)
+        want = np.fft.irfft(T._rfft(x, n) * np.fft.rfft(kernels[:, ::-1], n), n)[..., half : half + t]
+        got = T.conv1d_depthwise(x, kernels)
+        assert got.dtype == np.float32 and np.array_equal(got, want.astype(np.float32))
+
     @pytest.mark.parametrize("k", [33, 75])
     def test_float64_equals_the_default_norm_formulas(self, k):
         # float64 keeps numpy's default-norm transforms, so the audit and the oracles see the same bits
