@@ -210,13 +210,15 @@ def encoder_forward(
         block_in, skip_cache = h, None
         layer_caches = []
         for i, layer in enumerate(layers):
+            # pre is batch norm's fresh output, referenced by no cache: the skip is added and
+            # the ReLU applied in place
             pre, conv_cache = _conv_bn(h, params, state, layer, mode, mask)
             if skip is not None and i == len(layers) - 1:
                 skip_out, skip_cache = _conv_bn(block_in, params, state, skip, mode, mask)
-                pre += skip_out  # pre is batch norm's fresh output, referenced by no cache
+                pre += skip_out
                 del skip_out
-            h, drop_mask = dropout(relu(pre), cfg.dropout_rate if drop else 0.0, rng, mode)
-            del pre  # nothing reads it now: free it before the next layer's transforms
+            h, drop_mask = dropout(relu(pre, out=pre), cfg.dropout_rate if drop else 0.0, rng, mode)
+            del pre  # unless h is pre, nothing reads it now: free it before the next layer's transforms
             if mask is not None:
                 h = h * mask
             if train:

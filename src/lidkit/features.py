@@ -124,10 +124,21 @@ def _analysis_tables(config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
     return window, fb
 
 
+_CHUNK_FRAMES = 256
+
+
 def compute_mfsc(clip: AudioClip, config: FeatureConfig) -> FeatureMap:
     """Pre-emphasis -> framing -> Hamming window -> power spectrum -> mel -> log.
 
     Deterministic and pure: identical input bytes give a bit-identical map.
+    The float64 frames, spectrum and power exist for ``_CHUNK_FRAMES``
+    frames at a time, each chunk's log mel energies written into one
+    float32 output, so a long clip's transient is a chunk's, not the
+    clip's.  Chunks give the whole-clip result bit for bit: each frame's
+    ``rfft`` is independent of the others, and the mel GEMM's rows do
+    not depend on how many rows it multiplies, which BLAS does not
+    promise, so a test pins it across lengths that end below, on and
+    inside a chunk boundary.
     """
     if clip.sample_rate != config.sample_rate:
         raise FeatureError(
@@ -147,7 +158,9 @@ def compute_mfsc(clip: AudioClip, config: FeatureConfig) -> FeatureMap:
 
     window, fb = _analysis_tables(config)
     frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop][:n_frames]
-    spectrum = np.fft.rfft(frames * window, n=config.fft_size, axis=1)
-    power = np.abs(spectrum) ** 2
-    feats = np.log(power @ fb.T + config.log_floor)
-    return FeatureMap(data=feats.astype(np.float32), frame_hop=config.frame_hop, id=clip.id)
+    feats = np.empty((n_frames, config.n_mels), dtype=np.float32)
+    for start in range(0, n_frames, _CHUNK_FRAMES):
+        chunk = slice(start, start + _CHUNK_FRAMES)
+        power = np.abs(np.fft.rfft(frames[chunk] * window, n=config.fft_size, axis=1)) ** 2
+        feats[chunk] = np.log(power @ fb.T + config.log_floor)
+    return FeatureMap(data=feats, frame_hop=config.frame_hop, id=clip.id)

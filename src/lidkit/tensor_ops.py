@@ -4,7 +4,8 @@ Convolutions are stride 1, dilation 1, zero same-padding.  Arrays carry
 whatever dtype the caller passes (float32 in training, float64 in
 gradient checks); reductions accumulate at numpy's native precision.
 Every function is pure except train-mode ``batch_norm_1d``, which updates
-the running statistics the caller passes in place.
+the running statistics the caller passes in place, and ``relu`` when it
+is handed an ``out`` buffer, which it writes.
 """
 
 from __future__ import annotations
@@ -231,8 +232,9 @@ def batch_norm_1d_backward(grad_out: np.ndarray, cache):
 # elementwise ops and softmax
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0), written into ``out`` when given (``out=x`` rectifies x in place)."""
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -191,9 +191,9 @@ def test_train_cache_holds_no_pre_relu_sum(monkeypatch):
     model = _dropout_model()
     pres = []
 
-    def recording_relu(x):
+    def recording_relu(x, out=None):
         pres.append(x.copy())
-        return relu(x)
+        return relu(x, out=out)
 
     monkeypatch.setattr(lidkit.encoder, "relu", recording_relu)
     _, _, cache = _train_forward(model, t=20)

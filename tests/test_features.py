@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,13 +162,27 @@ class TestCachedFrontEnd:
         fb = mel_filterbank(cfg).astype(np.float64)
         return np.log(power @ fb.T + cfg.log_floor).astype(np.float32)
 
-    # shorter than one window, exactly one window, 1 s, and a length off the 160-sample hop grid
-    @pytest.mark.parametrize("n", [100, 400, 16000, 16037])
+    # shorter than one window, exactly one window, 1 s, a length off the 160-sample hop grid, and
+    # 255, 256, 257, 512 and 1998 frames: ending below, on and inside a chunk boundary, and 20 s
+    @pytest.mark.parametrize("n", [100, 400, 16000, 16037, 41040, 41200, 41360, 82160, 320000])
     def test_bit_identical_to_the_per_clip_formula(self, n):
         cfg = FeatureConfig()
         samples = np.random.default_rng(n).uniform(-1, 1, n).astype(np.float32)
         for _ in range(2):  # the second clip reads the cached tables
             assert np.array_equal(compute_mfsc(make_clip(samples), cfg).data, self.per_clip_formula(samples, cfg))
+
+    def test_long_clip_peak_memory(self):
+        # a 20 s clip's float64 frames, complex128 spectrum and power, built whole, peak at ~17.2 MB
+        samples = np.random.default_rng(20).uniform(-1, 1, 320000).astype(np.float32)
+        clip, cfg = make_clip(samples), FeatureConfig()
+        compute_mfsc(clip, cfg)  # builds the cached tables outside the traced call
+        tracemalloc.start()
+        try:
+            compute_mfsc(clip, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
 
     def test_cached_tables_are_read_only(self):
         window, fb = _analysis_tables(FeatureConfig())

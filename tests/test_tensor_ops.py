@@ -378,6 +378,14 @@ class TestElementwise:
         assert T.relu(np.array(-2.0)) == 0.0
         assert T.relu(np.array(3.0)) == 3.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_in_place_returns_x_and_equals_the_copy(self, dtype):
+        x = np.random.default_rng(8).standard_normal((2, 5, 7)).astype(dtype)
+        expected = T.relu(x.copy())
+        out = T.relu(x, out=x)
+        assert out is x
+        assert np.array_equal(out, expected)
+
     def test_softmax_uniform(self):
         assert np.allclose(T.softmax(np.zeros(3)), np.full(3, 1 / 3))
 
