@@ -28,6 +28,7 @@ import numpy as np
 
 from lidkit.tensor_ops import (
     ShapeError,
+    _into,
     batch_norm_1d,
     batch_norm_1d_backward,
     conv1d_depthwise,
@@ -149,12 +150,16 @@ def build_encoder(cfg: EncoderConfig, seed: int, dtype=np.float32):
 
 
 def _conv_bn(x, params, state, layer, mode, mask):
-    """[depthwise k ->] pointwise -> batch norm; returns (out, cache), cache None in eval mode."""
+    """[depthwise k ->] pointwise -> batch norm; returns (out, cache), cache None in eval mode.
+
+    The pointwise output is fresh and no cache holds it, so eval batch norm
+    normalizes it in place.
+    """
     name, _, _, k = layer
     y_dw = conv1d_depthwise(x, params[f"{name}.dw"]) if k else x
     y_pw = conv1d_pointwise(y_dw, params[f"{name}.pw_w"], params[f"{name}.pw_b"])
     out, bn_cache = batch_norm_1d(y_pw, params[f"{name}.bn.gamma"], params[f"{name}.bn.beta"],
-                                  state[f"{name}.bn.mean"], state[f"{name}.bn.var"], mode, mask=mask)
+                                  state[f"{name}.bn.mean"], state[f"{name}.bn.var"], mode, mask=mask, out=y_pw)
     return out, (None if bn_cache is None else (layer, x, y_dw, bn_cache))
 
 
@@ -219,8 +224,8 @@ def encoder_forward(
                 del skip_out
             h, drop_mask = dropout(relu(pre, out=pre), cfg.dropout_rate if drop else 0.0, rng, mode)
             del pre  # unless h is pre, nothing reads it now: free it before the next layer's transforms
-            if mask is not None:
-                h = h * mask
+            if mask is not None:  # h is this layer's fresh dropout or ReLU output
+                h = np.multiply(h, mask, out=_into(h, h, mask))
             if train:
                 layer_caches.append((conv_cache, h, drop_mask))
         if train:

@@ -4,8 +4,9 @@ Convolutions are stride 1, dilation 1, zero same-padding.  Arrays carry
 whatever dtype the caller passes (float32 in training, float64 in
 gradient checks); reductions accumulate at numpy's native precision.
 Every function is pure except train-mode ``batch_norm_1d``, which updates
-the running statistics the caller passes in place, and ``relu`` when it
-is handed an ``out`` buffer, which it writes.
+the running statistics the caller passes in place, and ``relu`` and
+eval-mode ``batch_norm_1d`` when handed an ``out`` buffer, which they
+write.
 """
 
 from __future__ import annotations
@@ -57,22 +58,50 @@ def _rfft(a: np.ndarray, n: int) -> np.ndarray:
     return spec
 
 
-def _kernel_spectrum(kernels: np.ndarray, n: int) -> np.ndarray:
+def _dft_table(kernels: np.ndarray, n: int) -> np.ndarray | None:
+    """The table ``_kernel_spectrum`` multiplies a float32 (C, K) bank by; None for other dtypes.
+
+    rfft(eye(K), n), the DFT of each unit impulse, rounded to complex64
+    and viewed as a (K, 2*(n//2+1)) float32 array.
+    """
+    if kernels.dtype != np.float32:
+        return None
+    return np.fft.rfft(np.eye(kernels.shape[1]), n).astype(np.complex64).view(np.float32)
+
+
+def _kernel_spectrum(kernels: np.ndarray, n: int, table: np.ndarray | None) -> np.ndarray:
     """``np.fft.rfft(kernels, n)`` of a (C, K) bank, as one GEMM when the bank is float32.
 
     A K-tap row has n//2+1 frequencies, each a K-term sum: ``kernels @ D``
-    with D = rfft(eye(K), n), the DFT of each unit impulse.  D is rounded to
-    complex64 and viewed as a (K, 2*(n//2+1)) float32 table, so the float32
-    product, viewed as complex64, is the spectrum: one BLAS call instead of
-    C transforms of length n.  The table is built on each call, in about the
-    time of the product; a cache of tables saved no measurable time, and one
-    of spectra would have to follow every change of the weights.  Other
-    dtypes keep ``np.fft.rfft``, as ``_rfft`` does.
+    with D = ``_dft_table(kernels, n)``, so the float32 product, viewed as
+    complex64, is the spectrum: one BLAS call instead of C transforms of
+    length n.  The table is built once per conv call, in about the time of
+    the product, and shared by its channel blocks; a cache of tables saved
+    no measurable time, and one of spectra would have to follow every
+    change of the weights.  Other dtypes (``table`` None) keep
+    ``np.fft.rfft``, as ``_rfft`` does.
     """
-    if kernels.dtype != np.float32:
+    if table is None:
         return np.fft.rfft(kernels, n)
-    table = np.fft.rfft(np.eye(kernels.shape[1]), n).astype(np.complex64).view(np.float32)
     return (kernels @ table).view(np.complex64)
+
+
+_BLOCK_BYTES = 1 << 20
+
+
+def _channel_blocks(x: np.ndarray, n: int) -> list[slice]:
+    """The fewest equal slices of x's channels whose spectra fit ``_BLOCK_BYTES``; sizes differ by at most 1.
+
+    A block's spectrum is N x rows x (n//2+1) complex values of 2 *
+    x.itemsize bytes.  Equal blocks, not a fixed row count: OpenBLAS rounds a
+    float32 kernel-spectrum GEMM of few rows differently from the
+    whole-bank product, and no remainder block is left small.  Blocks of
+    >= 128 rows at T = 198, and of >= 16 at T = 1998, give the whole-bank
+    spectra bit for bit.  A bank within the budget is one block.
+    """
+    n_utt, c = x.shape[:2]
+    count = max(1, min(c, -(-c * n_utt * (n // 2 + 1) * 2 * x.itemsize // _BLOCK_BYTES)))
+    return [slice(c * i // count, c * (i + 1) // count) for i in range(count)]
 
 
 def _half_width(x: np.ndarray, kernels: np.ndarray) -> int:
@@ -92,9 +121,10 @@ def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     Each operand is transformed at its own precision: float32 input in
     numpy's float32 loop (``_rfft``), a float32 kernel bank by one GEMM
     against a DFT table (``_kernel_spectrum``), float64 exactly as
-    ``np.fft.rfft`` does.  The spectra are multiplied in place when that
-    rounds as out of place would, and the product is freed before the
-    output is copied out of the padded buffer.
+    ``np.fft.rfft`` does.  Channels are independent, so the bank runs in
+    ``_channel_blocks``: each block's spectra are multiplied (in place when
+    that rounds as out of place would), inverted and written into the one
+    output, so the transient is a block's spectra, not the bank's.
     A K = 1 kernel is a per-channel scale and is applied exactly.
     """
     half = _half_width(x, kernels)
@@ -102,13 +132,16 @@ def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     if k == 1:
         return (kernels * x).astype(x.dtype, copy=False)
     n = _fft_length(t + k - 1)
-    spec = _rfft(x, n)
-    spec_k = _kernel_spectrum(kernels[:, ::-1], n)
-    spec = np.multiply(spec, spec_k, out=_into(spec, spec, spec_k))
-    del spec_k
-    y = np.fft.irfft(spec, n)
-    del spec
-    return y[..., half : half + t].astype(x.dtype)  # a copy, not a view of the buffer
+    y = np.empty(x.shape, x.dtype)  # before the table: the other order cost a 20 s predict ~5k more page faults
+    kernels = kernels[:, ::-1]
+    table = _dft_table(kernels, n)
+    for b in _channel_blocks(x, n):
+        spec = _rfft(x[:, b], n)
+        spec_k = _kernel_spectrum(kernels[b], n, table)
+        spec = np.multiply(spec, spec_k, out=_into(spec, spec, spec_k))
+        del spec_k
+        y[:, b] = np.fft.irfft(spec, n)[..., half : half + t]
+    return y
 
 
 def conv1d_depthwise_backward(grad_out: np.ndarray, x: np.ndarray, kernels: np.ndarray):
@@ -120,10 +153,15 @@ def conv1d_depthwise_backward(grad_out: np.ndarray, x: np.ndarray, kernels: np.n
     # the adjoint of the correlation convolves grad_out with the kernel;
     # grad_k[j] = sum_{n,t} grad_out[t] * x[t + j - K//2], the lags -K//2..K//2
     n = _fft_length(t + k - 1)
-    spec_g = _rfft(grad_out, n)
-    grad_x = np.fft.irfft(spec_g * _kernel_spectrum(kernels, n), n)[..., half : half + t].astype(x.dtype)
-    lags = np.fft.irfft(np.sum(_rfft(x, n) * spec_g.conj(), axis=0), n)
-    grad_k = np.concatenate((lags[:, n - half :], lags[:, : half + 1]), axis=1).astype(kernels.dtype)
+    grad_x = np.empty(x.shape, x.dtype)
+    grad_k = np.empty(kernels.shape, kernels.dtype)
+    table = _dft_table(kernels, n)
+    for b in _channel_blocks(x, n):
+        spec_g = _rfft(grad_out[:, b], n)
+        grad_x[:, b] = np.fft.irfft(spec_g * _kernel_spectrum(kernels[b], n, table), n)[..., half : half + t]
+        lags = np.fft.irfft(np.sum(_rfft(x[:, b], n) * spec_g.conj(), axis=0), n)
+        grad_k[b, :half] = lags[:, n - half :]
+        grad_k[b, half:] = lags[:, : half + 1]
     return grad_x, grad_k
 
 
@@ -165,6 +203,7 @@ def batch_norm_1d(
     running_var: np.ndarray,
     mode: str,
     mask: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ):
     """x: (N, C, T).  Train mode uses batch stats and updates running stats.
 
@@ -175,13 +214,19 @@ def batch_norm_1d(
     cache to batch_norm_1d_backward.  Both modes build
     gamma * ((x - mean) * inv_std) + beta one ufunc at a time, in as few
     buffers as the dtypes allow: eval in one, train in two besides the
-    cached xhat.  Eval mode is inference only and returns None as its cache.
+    cached xhat.  Eval mode is inference only and returns None as its cache;
+    given ``out`` of x's shape, it writes there when every step yields x's
+    dtype (``out=x`` normalizes x in place), else into a fresh buffer.
+    Train mode ignores ``out``.
     """
     if x.ndim != 3:
         raise ShapeError("batch_norm_1d expects (N, C, T)")
     if mode == "eval":
         inv_std = 1.0 / np.sqrt(running_var + BN_EPSILON)
-        out = x - running_mean[None, :, None]
+        # into out only when every step yields x's dtype: then each rounds as out of place, and
+        # out is never left half normalized
+        fits = out is not None and out.dtype == np.result_type(x, running_mean, inv_std, gamma, beta) == x.dtype
+        out = np.subtract(x, running_mean[None, :, None], out=out if fits else None)
         for op, v in ((np.multiply, inv_std), (np.multiply, gamma), (np.add, beta)):
             out = op(out, v[None, :, None], out=_into(out, out, v))
         return out, None

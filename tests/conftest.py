@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,16 @@ def wav_bytes(samples, sample_rate=16000, n_channels=1, audio_format=1, bits=16)
         len(body),
     )
     return header + body
+
+
+def peak_bytes(fn) -> int:
+    """The tracemalloc peak of one call of fn(), in bytes: what it allocates beyond what already exists."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from lidkit.audio import (
     decode_wav,
     encode_wav,
 )
-from tests.conftest import wav_bytes
+from tests.conftest import peak_bytes, wav_bytes
 
 
 def test_zero_sample_maps_to_zero():
@@ -78,14 +77,8 @@ def test_long_file_converts_only_the_kept_samples():
     # ten minutes of 16 kHz mono: the whole payload in float64 peaked at 5.1x the file's bytes
     raw = np.random.default_rng(0).integers(-32768, 32768, size=600 * 16000)
     data = wav_bytes(raw)
-    tracemalloc.start()
-    try:
-        clip = decode_wav(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(clip.samples) == 20 * 16000
-    assert peak < 2 * len(data)
+    assert len(decode_wav(data).samples) == 20 * 16000
+    assert peak_bytes(lambda: decode_wav(data)) < 2 * len(data)
 
 
 def test_samples_bounded_and_finite():

@@ -1,5 +1,6 @@
 import numpy as np
 
+from lidkit import tensor_ops
 from lidkit.diagnostics import ALL_CHECKS, check_composite, run_all_checks
 
 
@@ -23,3 +24,19 @@ def test_one_result_per_primitive():
 def test_corrupted_backward_detected(corrupt_backward):
     result = check_composite(np.random.default_rng(0))
     assert not result.passed
+
+
+def test_composite_passes_with_every_bank_split_unevenly(monkeypatch):
+    # the composite's banks (5 and 4 channels, spectra of 128 or 160 B a row) in 3 blocks each
+    monkeypatch.setattr(tensor_ops, "_BLOCK_BYTES", 250)
+    real, splits = tensor_ops._channel_blocks, []
+
+    def recording(x, n):
+        blocks = real(x, n)
+        splits.append([b.stop - b.start for b in blocks])
+        return blocks
+
+    monkeypatch.setattr(tensor_ops, "_channel_blocks", recording)
+    result = check_composite(np.random.default_rng(0))
+    assert result.passed, result.max_rel_err
+    assert splits and all(len(set(sizes)) > 1 for sizes in splits), splits

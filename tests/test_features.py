@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from lidkit.features import (
     mel_filterbank,
 )
 from lidkit.features import _analysis_tables
+from tests.conftest import peak_bytes
 
 
 def naive_dft(x):
@@ -176,12 +175,7 @@ class TestCachedFrontEnd:
         samples = np.random.default_rng(20).uniform(-1, 1, 320000).astype(np.float32)
         clip, cfg = make_clip(samples), FeatureConfig()
         compute_mfsc(clip, cfg)  # builds the cached tables outside the traced call
-        tracemalloc.start()
-        try:
-            compute_mfsc(clip, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: compute_mfsc(clip, cfg))
         assert peak < 10 * 2**20, peak
 
     def test_cached_tables_are_read_only(self):

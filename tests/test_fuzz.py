@@ -4,7 +4,7 @@
 ``CheckpointError`` and ``load_manifest`` only ``CliError``; anything else
 (KeyError, TypeError, OverflowError, ...) fails the test.  The depthwise
 conv must match its triple-loop oracle at every shape, kernels wider than
-the clip included.
+the clip included, in any split of the bank into channel blocks.
 """
 
 import json
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from lidkit import tensor_ops
 from lidkit.audio import WavError, decode_wav
 from lidkit.cli import CliError, load_manifest
 from lidkit.encoder import EncoderConfig
@@ -145,14 +146,20 @@ def test_load_manifest_one_value_per_line(tmp_path_factory, values):
 
 
 @FUZZ
-@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 40), st.integers(0, 40), st.integers(0, 2**32 - 1))
-def test_depthwise_matches_oracle(n, c, t, half, seed):
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 40), st.integers(0, 40), st.integers(0, 2**32 - 1),
+       st.integers(1, 4096))
+def test_depthwise_matches_oracle(n, c, t, half, seed, block_bytes):
+    # a row's spectrum takes 16 B to ~3 kB here, so the drawn budget splits a bank into 1 to C
+    # channel blocks, equal or not
     rng = np.random.default_rng(seed)
     x, g = rng.standard_normal((2, n, c, t))
     kernels = rng.standard_normal((c, 2 * half + 1))
-    gx, gk = conv1d_depthwise_backward(g, x, kernels)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor_ops, "_BLOCK_BYTES", block_bytes)
+        gx, gk = conv1d_depthwise_backward(g, x, kernels)
+        y = conv1d_depthwise(x, kernels)
     want = np.stack([naive_depthwise(xi, kernels) for xi in x])
     want_gx, want_gk = naive_depthwise_backward(g, x, kernels)
-    for got, ref in ((conv1d_depthwise(x, kernels), want), (gx, want_gx), (gk, want_gk)):
+    for got, ref in ((y, want), (gx, want_gx), (gk, want_gk)):
         assert got.shape == ref.shape and got.dtype == np.float64 and got.base is None
         assert np.max(np.abs(got - ref)) <= 1e-6

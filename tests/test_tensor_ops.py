@@ -1,11 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidkit import tensor_ops as T
+from tests.conftest import peak_bytes
 
 
 def naive_depthwise(x, kernels):
@@ -131,33 +130,23 @@ class TestDepthwiseConvFFT:
 
     def test_float32_transforms_make_no_float64_copies(self):
         # numpy's default-norm rfft sends float32 input through its float64 loop, one float64
-        # copy per transform: forward and backward peaked at 5.2x and 7.3x x.nbytes that way
+        # copy per transform: forward and backward peaked at 5.2x and 7.3x x.nbytes that way;
+        # backward's whole-bank spectra then took 4.25x, its channel blocks ~2.1x
         rng = np.random.default_rng(13)
         x, g = rng.standard_normal((2, 1, 512, 1998)).astype(np.float32)
         kernels = rng.standard_normal((512, 75)).astype(np.float32)
         for run, bound in ((lambda: T.conv1d_depthwise(x, kernels), 4.0),
-                           (lambda: T.conv1d_depthwise_backward(g, x, kernels), 5.5)):
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound * x.nbytes
+                           (lambda: T.conv1d_depthwise_backward(g, x, kernels), 2.6)):
+            assert peak_bytes(run) < bound * x.nbytes
 
     def test_forward_frees_its_spectra(self):
         # the kernel spectrum and the spectra's product used to stay alive until the output
-        # was copied out of the padded buffer: a peak of 3.3x x.nbytes
+        # was copied out of the padded buffer: a peak of 3.3x x.nbytes; the whole bank's
+        # spectra at once, 2.3x; a channel block's at a time, ~1.6x
         rng = np.random.default_rng(14)
         x = rng.standard_normal((1, 512, 1998)).astype(np.float32)
         kernels = rng.standard_normal((512, 75)).astype(np.float32)
-        tracemalloc.start()
-        try:
-            T.conv1d_depthwise(x, kernels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.6 * x.nbytes
+        assert peak_bytes(lambda: T.conv1d_depthwise(x, kernels)) < 2.0 * x.nbytes
 
     @pytest.mark.parametrize("k", [3, 33, 75])
     @pytest.mark.parametrize("t", [98, 1998])
@@ -166,7 +155,7 @@ class TestDepthwiseConvFFT:
         rng = np.random.default_rng([k, t, 1])
         kernels = rng.standard_normal((64, k)).astype(np.float32)
         n = T._fft_length(t + k - 1)
-        got = T._kernel_spectrum(kernels[:, ::-1], n)
+        got = T._kernel_spectrum(kernels[:, ::-1], n, T._dft_table(kernels, n))
         ref = np.fft.rfft(kernels[:, ::-1].astype(np.float64), n)
         assert got.dtype == np.complex64 and got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
@@ -211,6 +200,50 @@ class TestDepthwiseConvFFT:
         gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
         for got, ref in ((T.conv1d_depthwise(x, kernels), want), (gx, want_gx), (gk, want_gk)):
             assert got.dtype == np.float64 and np.array_equal(got, ref)
+
+
+def whole_bank_depthwise(x, g, kernels):
+    """conv1d_depthwise and its backward with the whole bank in one block: one transform per operand."""
+    t, k = x.shape[2], kernels.shape[1]
+    half, n = k // 2, T._fft_length(t + k - 1)
+    spec_k = T._kernel_spectrum(kernels[:, ::-1], n, T._dft_table(kernels, n))
+    y = np.fft.irfft(T._rfft(x, n) * spec_k, n)[..., half : half + t].astype(x.dtype)
+    spec_g = T._rfft(g, n)
+    spec_k = T._kernel_spectrum(kernels, n, T._dft_table(kernels, n))
+    gx = np.fft.irfft(spec_g * spec_k, n)[..., half : half + t].astype(x.dtype)
+    lags = np.fft.irfft(np.sum(T._rfft(x, n) * spec_g.conj(), axis=0), n)
+    gk = np.concatenate((lags[:, n - half :], lags[:, : half + 1]), axis=1).astype(kernels.dtype)
+    return y, gx, gk
+
+
+class TestDepthwiseChannelBlocks:
+    @pytest.mark.parametrize("shape, x_dtype, k, blocks", [
+        ((1, 512, 1998), np.float32, 33, 5), ((1, 512, 1998), np.float32, 75, 5),
+        ((2, 512, 198), np.float64, 33, 2), ((2, 512, 198), np.float64, 75, 3)])
+    def test_bench_shapes_equal_the_whole_bank(self, shape, x_dtype, k, blocks):
+        # a 20 s prediction and a train step: the blocks must not move a bit, so float32
+        # kernel-spectrum GEMMs of block rows must round as the whole bank's does
+        rng = np.random.default_rng([k, shape[2]])
+        x, g = rng.standard_normal((2, *shape)).astype(x_dtype)
+        kernels = rng.standard_normal((shape[1], k)).astype(np.float32)
+        assert len(T._channel_blocks(x, T._fft_length(shape[2] + k - 1))) == blocks
+        gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
+        for got, want in zip((T.conv1d_depthwise(x, kernels), gx, gk), whole_bank_depthwise(x, g, kernels)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, c, t, k, x_dtype", [
+        (3, 8, 200, 5, np.float64), (8, 8, 100, 7, np.float32), (4, 40, 100, 3, np.float32), (2, 4, 5, 3, np.float64)])
+    def test_bank_within_the_budget_is_one_block(self, n, c, t, k, x_dtype):
+        # the tiny and CLI encoders' banks, their input layers and the gradient audit's
+        x = np.zeros((n, c, t), x_dtype)
+        assert T._channel_blocks(x, T._fft_length(t + k - 1)) == [slice(0, c)]
+
+    def test_blocks_are_the_fewest_equal_ones(self, monkeypatch):
+        x = np.zeros((2, 7, 26))
+        n = T._fft_length(26 + 5 - 1)  # 16 frequencies x 16 B x N = 512 B a row
+        for budget, sizes in ((7 * 512, [7]), (7 * 512 - 1, [3, 4]), (3 * 512, [2, 2, 3]), (1, [1] * 7)):
+            monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
+            assert [b.stop - b.start for b in T._channel_blocks(x, n)] == sizes
 
 
 class TestPointwiseConv:
@@ -326,6 +359,14 @@ class TestBatchNorm:
         assert cache is None
         assert out.dtype == want.dtype and np.array_equal(out, want)
         assert not np.shares_memory(out, x)
+        # into x where every step yields x's dtype; else a fresh array, and x untouched
+        x_before = x.copy()
+        out, _ = T.batch_norm_1d(x, gamma, beta, mean, var, "eval", out=x)
+        assert out.dtype == want.dtype and np.array_equal(out, want)
+        if want.dtype == x_dtype:
+            assert out is x
+        else:
+            assert not np.shares_memory(out, x) and np.array_equal(x, x_before)
 
     @pytest.mark.parametrize("x_dtype, affine_dtype, grad_dtype, mask_dtype", [
         (np.float32, np.float32, np.float32, None), (np.float64, np.float64, np.float64, None),
