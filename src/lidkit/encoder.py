@@ -13,6 +13,12 @@ dilation 1 everywhere, so time length is preserved end to end.
 (layers, skip, dropout?) entries in forward order; parameter shapes, the
 forward pass and the backward pass are each one loop over it.
 
+In train mode each layer caches what its adjoint reads and cannot cheaply
+rebuild: its input, batch norm's xhat and the dropout mask.  The
+depthwise output, which only the pointwise weight gradient reads, is not
+cached: the backward recomputes it from the cached input, one depthwise
+conv per layer, and gets the forward's bits.
+
 Parameters live in a flat ordered dict (name -> array); batch-norm
 running statistics live in a separate state dict with the same naming.
 Every name carries the ``enc.`` prefix it has in a model and on disk.
@@ -153,22 +159,30 @@ def _conv_bn(x, params, state, layer, mode, mask):
     """[depthwise k ->] pointwise -> batch norm; returns (out, cache), cache None in eval mode.
 
     The pointwise output is fresh and no cache holds it, so eval batch norm
-    normalizes it in place.
+    normalizes it in place.  The train cache keeps the input x, not the
+    depthwise output: _conv_bn_backward rebuilds that from x.
     """
     name, _, _, k = layer
     y_dw = conv1d_depthwise(x, params[f"{name}.dw"]) if k else x
     y_pw = conv1d_pointwise(y_dw, params[f"{name}.pw_w"], params[f"{name}.pw_b"])
     out, bn_cache = batch_norm_1d(y_pw, params[f"{name}.bn.gamma"], params[f"{name}.bn.beta"],
                                   state[f"{name}.bn.mean"], state[f"{name}.bn.var"], mode, mask=mask, out=y_pw)
-    return out, (None if bn_cache is None else (layer, x, y_dw, bn_cache))
+    return out, (None if bn_cache is None else (layer, x, bn_cache))
 
 
 def _conv_bn_backward(grad, cache, params, grads):
-    """Adjoint of _conv_bn: fills the layer's parameter gradients, returns grad wrt x."""
-    (name, _, _, k), x, y_dw, bn_cache = cache
+    """Adjoint of _conv_bn: fills the layer's parameter gradients, returns grad wrt x.
+
+    The depthwise output that the weight gradient reads is recomputed from
+    the cached input; conv1d_depthwise is deterministic, so it is the
+    forward's, bit for bit.
+    """
+    (name, _, _, k), x, bn_cache = cache
     grad, grads[f"{name}.bn.gamma"], grads[f"{name}.bn.beta"] = batch_norm_1d_backward(grad, bn_cache)
+    y_dw = conv1d_depthwise(x, params[f"{name}.dw"]) if k else x
     grad, grads[f"{name}.pw_w"], grads[f"{name}.pw_b"] = conv1d_pointwise_backward(
         grad, y_dw, params[f"{name}.pw_w"])
+    del y_dw
     if k:
         grad, grads[f"{name}.dw"] = conv1d_depthwise_backward(grad, x, params[f"{name}.dw"])
     return grad
@@ -187,14 +201,14 @@ def encoder_forward(
 
     When some valid_lens[i] < T, frames at t >= valid_lens[i] are zeroed
     after every layer so that padding cannot leak into valid positions
-    through the convolutions.  Train mode's cache holds, per layer, what
-    its adjoint reads: the input, the depthwise output, batch norm's xhat,
-    the dropout mask and the output h, from whose sign the ReLU adjoint
-    reads.  Each h is the next layer's input (the epilogue's is the
-    returned frames), so it costs no bytes of its own.  encoder_backward
-    consumes the cache.  Eval mode is inference only: it keeps no cache
-    and returns None in its place, so each layer's arrays are freed once
-    the next layer has read them.  A block's skip projection is computed
+    through the convolutions.  Train mode's cache holds, per layer, the
+    input, batch norm's xhat, the dropout mask and the output h, from
+    whose sign the ReLU adjoint reads.  Each h is the next layer's input
+    (the epilogue's is the returned frames), so it costs no bytes of its
+    own.  The depthwise output is not cached; encoder_backward recomputes
+    it.  encoder_backward consumes the cache.  Eval mode is inference
+    only: it keeps no cache and returns None in its place, so each
+    layer's arrays are freed once the next layer has read them.  A block's skip projection is computed
     from the kept block input after the block's last layer, where its
     output is added; it draws no random numbers and owns its batch-norm
     state, so the result is the same as computing it first.
@@ -238,7 +252,10 @@ def encoder_backward(params: dict[str, np.ndarray], cache, grad_out: np.ndarray)
 
     Consumes the cache: each layer's entry is popped, and its arrays
     freed, once its adjoint has run, so the gradients grow as the cache
-    shrinks.  A second call on the same cache raises RuntimeError.
+    shrinks.  Each layer's depthwise output is recomputed from its cached
+    input just before the pointwise adjoint reads it and freed right
+    after, so only the layer being differentiated holds one.  A second
+    call on the same cache raises RuntimeError.
     """
     caches, mask, rate = cache
     if not caches:

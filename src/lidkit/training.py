@@ -22,7 +22,7 @@ from lidkit.augment import AugmentConfig, apply_specaugment
 from lidkit.encoder import EncoderConfig
 from lidkit.features import FeatureMap
 from lidkit.model import Model, batch_from_features, model_backward, model_forward, predict, tensor_table
-from lidkit.tensor_ops import ShapeError
+from lidkit.tensor_ops import ShapeError, _into
 
 CHECKPOINT_MAGIC = b"LIDK"
 CHECKPOINT_VERSION = 1
@@ -104,7 +104,12 @@ def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float) -> floa
 
 
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> dict[str, np.ndarray]:
-    """Plain SGD: p <- p - lr * g.  Refuses non-finite gradients."""
+    """Plain SGD: p <- p - lr * g, rounded to p's dtype.  Refuses non-finite gradients.
+
+    Every gradient is checked before any parameter changes.  The
+    difference is built in the buffer of lr * g when that rounds as out
+    of place would, so each tensor costs one temporary, not two.
+    """
     if lr < 0:
         raise TrainError("lr must be nonnegative")
     for name, p in params.items():
@@ -114,7 +119,9 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: fl
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient in {name!r}; step refused")
     for name, p in params.items():
-        params[name] = (p - lr * grads[name]).astype(p.dtype)
+        u = lr * grads[name]
+        u = np.subtract(p, u, out=_into(u, p, u))
+        params[name] = u.astype(p.dtype, copy=False)
     return params
 
 

@@ -16,7 +16,7 @@ from lidkit.encoder import EncoderConfig
 from lidkit.features import FeatureMap
 from lidkit.model import batch_from_features, build_model, model_backward, model_forward, predict
 from lidkit.sap import classify, classify_backward, cross_entropy, init_sap_params, sap_backward, sap_forward
-from lidkit.tensor_ops import relu
+from lidkit.tensor_ops import conv1d_depthwise, relu
 from tests.conftest import peak_bytes
 
 T = 7
@@ -204,6 +204,76 @@ def test_train_cache_holds_no_pre_relu_sum(monkeypatch):
         arrays = list(_arrays(entry))
         assert len(arrays) >= 4
         assert not any(np.array_equal(a, pre) for a in arrays)
+
+
+def _cache_arrays(model, cache):
+    """The arrays that own the memory reachable from a model_forward cache, parameters and state left out."""
+    skip = {id(a) for a in (*model.params.values(), *model.state.values())}
+    owners, seen, stack = {}, set(), [cache]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            if id(obj) not in skip:
+                owners[id(obj)] = obj
+        elif id(obj) not in seen:
+            seen.add(id(obj))
+            if isinstance(obj, (list, tuple)):
+                stack.extend(obj)
+            elif isinstance(obj, dict):
+                stack.extend(obj.values())
+            elif hasattr(obj, "__dict__"):
+                stack.extend(vars(obj).values())
+    return list(owners.values())
+
+
+def test_train_cache_holds_no_depthwise_output(monkeypatch):
+    model = _dropout_model()
+    outputs = []
+
+    def recording_depthwise(x, kernels):
+        y = conv1d_depthwise(x, kernels)
+        outputs.append(y.copy())
+        return y
+
+    monkeypatch.setattr(lidkit.encoder, "conv1d_depthwise", recording_depthwise)
+    _, _, cache = _train_forward(model, t=20)
+    assert len(outputs) == 5  # prologue and 2 x 2 sub-blocks; skips and epilogue are pointwise only
+    arrays = _cache_arrays(model, cache)
+    assert len(arrays) > 20
+    assert not any(np.array_equal(a, y) for a in arrays for y in outputs)
+
+
+def _bench_layout_model():
+    cfg = EncoderConfig(channels=(512,) * 5, kernel_sizes=(33, 39, 51, 63, 75), sub_blocks=1, input_dim=40,
+                        out_channels=512, dropout_rate=0.1)
+    model = build_model(cfg, [f"lang{i}" for i in range(6)], seed=0)
+    rng = np.random.default_rng(12)
+    x, valid = batch_from_features([FeatureMap(rng.standard_normal((t, 40)).astype(np.float32), frame_hop=0.01)
+                                    for t in (148, 198)])
+    return model, x, valid
+
+
+def test_bench_layout_train_cache_bytes_per_frame():
+    # each layer caches its input, batch norm's xhat and the dropout mask; a cached depthwise
+    # output as well made 101,856 B/frame
+    model, x, valid = _bench_layout_model()
+    _, _, cache = model_forward(model, x, valid, targets=[0, 1], mode="train", rng=np.random.default_rng(13))
+    per_frame = sum(a.nbytes for a in _cache_arrays(model, cache)) / (x.shape[0] * x.shape[2])
+    assert per_frame < 90_000, per_frame
+
+
+def test_bench_layout_train_step_peak_memory():
+    # in float64 activations, (2, 512, 198): 29.8 measured, 34.8 with a cached depthwise output
+    model, x, valid = _bench_layout_model()
+
+    def step():
+        _, _, cache = model_forward(model, x, valid, targets=[0, 1], mode="train", rng=np.random.default_rng(13))
+        model_backward(model, cache)
+
+    peak = peak_bytes(step) / (x.shape[0] * 512 * x.shape[2] * 8)
+    assert peak < 32, peak
 
 
 def _eval_forward_peak_bytes(blocks: int) -> int:

@@ -3,9 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import lidkit.encoder
 from lidkit import tensor_ops as T
 from lidkit.encoder import (
     EncoderConfig,
+    _conv_bn,
+    _conv_bn_backward,
     build_encoder,
     encoder_backward,
     encoder_forward,
@@ -271,3 +274,37 @@ class TestBackward:
         active = (out > 0).astype(np.float64)
         assert np.allclose(grads["enc.epilogue.pw_b"] * 0 + grads["enc.epilogue.bn.beta"],
                            np.sum(probe * active, axis=(0, 2)))
+
+
+def test_conv_bn_backward_equals_adjoint_of_the_forwards_depthwise_output(monkeypatch):
+    # the backward recomputes the depthwise output; every gradient must be the one the cached
+    # output gave, bit for bit (float64 input and float32 weights, as after a dropout layer)
+    name, k = "enc.block0.sub0", 7
+    rng = np.random.default_rng(21)
+    params = {f"{name}.dw": rng.standard_normal((16, k)), f"{name}.pw_w": rng.standard_normal((12, 16)),
+              f"{name}.pw_b": rng.standard_normal(12), f"{name}.bn.gamma": rng.standard_normal(12),
+              f"{name}.bn.beta": rng.standard_normal(12)}
+    params = {key: v.astype(np.float32) for key, v in params.items()}
+    state = {f"{name}.bn.mean": np.zeros(12, np.float32), f"{name}.bn.var": np.ones(12, np.float32)}
+    mask = (np.arange(40) < np.array([40, 31])[:, None, None]).astype(np.float64)
+    x = rng.standard_normal((2, 16, 40)) * mask
+    outputs = []
+
+    def recording_depthwise(inputs, kernels):
+        outputs.append(T.conv1d_depthwise(inputs, kernels))
+        return outputs[-1].copy()
+
+    monkeypatch.setattr(lidkit.encoder, "conv1d_depthwise", recording_depthwise)
+    out, cache = _conv_bn(x, params, state, (name, 16, 12, k), "train", mask)
+    grad_out = rng.standard_normal(out.shape) * mask
+    grads = {}
+    grad_x = _conv_bn_backward(grad_out, cache, params, grads)
+    assert len(outputs) == 2  # the forward's, then the backward's recomputation
+
+    g, want = grad_out, {}
+    g, want[f"{name}.bn.gamma"], want[f"{name}.bn.beta"] = T.batch_norm_1d_backward(g, cache[-1])
+    g, want[f"{name}.pw_w"], want[f"{name}.pw_b"] = T.conv1d_pointwise_backward(g, outputs[0], params[f"{name}.pw_w"])
+    want_x, want[f"{name}.dw"] = T.conv1d_depthwise_backward(g, x, params[f"{name}.dw"])
+    assert np.array_equal(grad_x, want_x) and grads.keys() == want.keys()
+    for key, w in want.items():
+        assert grads[key].dtype == w.dtype and np.array_equal(grads[key], w), key

@@ -245,6 +245,20 @@ class TestDepthwiseChannelBlocks:
             monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
             assert [b.stop - b.start for b in T._channel_blocks(x, n)] == sizes
 
+    @pytest.mark.parametrize("shape, k", [((2, 7, 26), 5), ((2, 512, 198), 33)])
+    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    def test_repeated_calls_are_bit_identical(self, monkeypatch, shape, k, x_dtype):
+        # the encoder's backward recomputes each depthwise output instead of caching it
+        rng = np.random.default_rng([k, 9])
+        x = rng.standard_normal(shape).astype(x_dtype)
+        kernels = rng.standard_normal((shape[1], k)).astype(np.float32)
+        n = T._fft_length(shape[2] + k - 1)
+        row = shape[0] * (n // 2 + 1) * 2 * x.itemsize
+        monkeypatch.setattr(T, "_BLOCK_BYTES", -(-shape[1] // 3) * row)
+        assert len({b.stop - b.start for b in T._channel_blocks(x, n)}) == 2
+        first = T.conv1d_depthwise(x, kernels)
+        assert first.dtype == x_dtype and np.array_equal(T.conv1d_depthwise(x, kernels), first)
+
 
 class TestPointwiseConv:
     def test_identity_weights(self):

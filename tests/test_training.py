@@ -87,6 +87,17 @@ class TestSgdStep:
         with pytest.raises(TrainError):
             sgd_step({"p": np.zeros(2)}, {"p": np.zeros(3)}, 0.1)
 
+    @pytest.mark.parametrize("p_dtype, g_dtype", [
+        (np.float32, np.float64), (np.float32, np.float32), (np.float64, np.float64)])
+    def test_bit_identical_to_out_of_place(self, p_dtype, g_dtype):
+        rng = np.random.default_rng(7)
+        p = rng.standard_normal((64, 33)).astype(p_dtype)
+        g = rng.standard_normal((64, 33)).astype(g_dtype)
+        want, g_before = (p - 0.0031 * g).astype(p_dtype), g.copy()
+        params = sgd_step({"p": p}, {"p": g}, 0.0031)
+        assert params["p"].dtype == p_dtype and np.array_equal(params["p"], want)
+        assert np.array_equal(g, g_before)  # the gradient is read, never written
+
     def test_single_step_decreases_loss(self):
         # quantified over random tiny models
         for seed in range(5):
