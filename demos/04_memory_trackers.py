@@ -39,7 +39,7 @@ def bench_layout_model():
 
 def feature_maps(frames, seed):
     rng = np.random.default_rng(seed)
-    return [FeatureMap(rng.standard_normal((t, 40)).astype(np.float32), frame_hop=0.01) for t in frames]
+    return [FeatureMap(rng.standard_normal((t, 40)).astype(np.float32)) for t in frames]
 
 
 def train_step(model, maps):

@@ -41,12 +41,12 @@ class AudioClip:
         return len(self.samples) / self.sample_rate
 
 
-def decode_wav(data: bytes, clip_id: str = "", max_duration: float = MAX_DURATION_S) -> AudioClip:
+def decode_wav(data: bytes, clip_id: str = "") -> AudioClip:
     """Decode a 16-bit PCM RIFF/WAVE byte string.
 
     PCM may be tagged plainly (1) or as WAVE_FORMAT_EXTENSIBLE with the PCM
     sub-format.  Multichannel audio is averaged to mono; samples are scaled by 1/32768.
-    Clips longer than ``max_duration`` seconds are truncated.
+    Clips longer than ``MAX_DURATION_S`` seconds are truncated.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWavError("not a RIFF/WAVE container")
@@ -87,8 +87,8 @@ def decode_wav(data: bytes, clip_id: str = "", max_duration: float = MAX_DURATIO
     if len(payload) < 2 * n_channels:
         raise EmptyPayloadError("data chunk holds no samples")
 
-    # frames past max_duration are cut before any of them is converted
-    n_frames = min(len(payload) // (2 * n_channels), int(max_duration * sample_rate))
+    # frames past MAX_DURATION_S are cut before any of them is converted
+    n_frames = min(len(payload) // (2 * n_channels), int(MAX_DURATION_S * sample_rate))
     raw = np.frombuffer(payload, dtype="<i2", count=n_frames * n_channels)
     samples = raw.reshape(n_frames, n_channels).mean(axis=1) / 32768.0
     return AudioClip(samples=samples.astype(np.float32), sample_rate=sample_rate, id=clip_id)

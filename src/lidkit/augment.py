@@ -43,4 +43,4 @@ def apply_specaugment(fm: FeatureMap, cfg: AugmentConfig, rng: np.random.Generat
             width = int(rng.integers(0, min(cfg.time_mask_width, t) + 1))
             start = int(rng.integers(0, t - width + 1))
             data[start : start + width, :] = cfg.mask_value
-    return FeatureMap(data=data, frame_hop=fm.frame_hop, id=fm.id)
+    return FeatureMap(data=data, id=fm.id)

@@ -6,7 +6,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from lidkit.training import (
     CheckpointError,
     TrainConfig,
     TrainError,
+    atomic_write,
     check_fields,
     is_int,
     load_checkpoint,
@@ -34,12 +34,6 @@ from lidkit.training import (
 
 class CliError(Exception):
     pass
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +70,12 @@ def load_run_config(path: str | Path | None) -> dict:
         # unknown or missing key
         raise CliError(f"run config {path}: {exc}") from exc
     return {**cfg, "d_att": d_att}
+
+
+def check_feature_width(fcfg: FeatureConfig, input_dim: int, owner: str) -> None:
+    """Refuse, before any clip is featurized, features of a width the model does not take."""
+    if fcfg.n_mels != input_dim:
+        raise CliError(f"features.n_mels is {fcfg.n_mels}, but {owner} takes input_dim {input_dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +157,7 @@ def cmd_featurize(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     tcfg = cfg["train"] if args.seed is None else dataclasses.replace(cfg["train"], seed=args.seed)
+    check_feature_width(cfg["features"], cfg["encoder"].input_dim, "the run config's encoder")
 
     if args.split is not None:
         records = load_manifest(args.manifest)
@@ -195,7 +196,7 @@ def cmd_train(args) -> int:
     lines = ["epoch,lr,train_loss,val_top1"]
     for row in result.history:
         lines.append(f"{row['epoch']},{row['lr']:.8g},{row['train_loss']:.6f},{row['val_top1']:.6f}")
-    atomic_write_text(out / "history.csv", "\n".join(lines) + "\n")
+    atomic_write(out / "history.csv", ("\n".join(lines) + "\n").encode())
     print(json.dumps({"best_val_top1": result.best_val, "epochs": len(result.history)}))
     return 0
 
@@ -222,6 +223,7 @@ def cmd_evaluate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     taxonomy = load_taxonomy(args.taxonomy)
     cfg = load_run_config(args.config)
+    check_feature_width(cfg["features"], model.encoder_cfg.input_dim, "the checkpoint's encoder")
     records = load_manifest(args.manifest)
     if not records:
         raise CliError("empty manifest")
@@ -236,11 +238,11 @@ def cmd_evaluate(args) -> int:
     report = build_report(predictions, labels, taxonomy, model.labels)
     report["failures"] = failures
     known_cm, unknown_cm = confusion(predictions, labels, model.labels)
-    atomic_write_text(out / "report.json", json.dumps(report, indent=2) + "\n")
-    atomic_write_text(out / "confusion_known.csv", known_cm.to_csv())
-    atomic_write_text(out / "confusion_known_pct.csv", known_cm.to_csv(normalized=True))
-    atomic_write_text(out / "confusion_unknown.csv", unknown_cm.to_csv())
-    atomic_write_text(out / "confusion_unknown_pct.csv", unknown_cm.to_csv(normalized=True))
+    atomic_write(out / "report.json", (json.dumps(report, indent=2) + "\n").encode())
+    atomic_write(out / "confusion_known.csv", known_cm.to_csv().encode())
+    atomic_write(out / "confusion_known_pct.csv", known_cm.to_csv(normalized=True).encode())
+    atomic_write(out / "confusion_unknown.csv", unknown_cm.to_csv().encode())
+    atomic_write(out / "confusion_unknown_pct.csv", unknown_cm.to_csv(normalized=True).encode())
     print(json.dumps(report["top1"]))
     return 0
 
@@ -248,6 +250,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
     cfg = load_run_config(args.config)
+    check_feature_width(cfg["features"], model.encoder_cfg.input_dim, "the checkpoint's encoder")
     if args.wav:
         records = [{"audio_filepath": args.wav, "label": None}]
     else:
@@ -272,7 +275,7 @@ def cmd_predict(args) -> int:
     for rec in outputs:
         print(json.dumps(rec))
     if args.out:
-        atomic_write_text(Path(args.out), "\n".join(json.dumps(r) for r in outputs) + "\n")
+        atomic_write(args.out, ("\n".join(json.dumps(r) for r in outputs) + "\n").encode())
     return 0
 
 
@@ -338,8 +341,10 @@ def main(argv: list[str] | None = None) -> int:
             raise CliError("--split requires --manifest")
         if args.command == "train" and args.split is not None and not 0 < args.split < 1:
             raise CliError(f"--split must lie strictly between 0 and 1, got {args.split}")
-        if args.command == "predict" and not (args.wav or args.manifest):
-            raise CliError("provide --wav or --manifest")
+        if args.command == "train" and args.manifest and (args.train_manifest or args.val_manifest):
+            raise CliError("provide --manifest with --split or --train-manifest/--val-manifest, not both")
+        if args.command == "predict" and bool(args.wav) == bool(args.manifest):
+            raise CliError("provide either --wav or --manifest")
         if args.command == "gradcheck" and args.seed < 0:
             raise CliError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)

@@ -71,10 +71,6 @@ class EncoderConfig:
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ShapeError("dropout_rate must be in [0, 1)")
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.channels)
-
     @classmethod
     def full_size(cls) -> "EncoderConfig":
         # 15x5 layout: 5 kernel-size groups repeated 3 times, 512 channels.

@@ -25,18 +25,6 @@ class Taxonomy:
                 raise EvaluationError(f"genus {genus!r} maps to multiple families")
             genus_family[genus] = family
 
-    @property
-    def languages(self) -> list[str]:
-        return sorted(self.entries)
-
-    @property
-    def genera(self) -> list[str]:
-        return sorted({g for g, _ in self.entries.values()})
-
-    @property
-    def families(self) -> list[str]:
-        return sorted({f for _, f in self.entries.values()})
-
     def genus_of(self, language: str) -> str:
         if language not in self.entries:
             raise EvaluationError(f"unknown language {language!r}")
@@ -93,10 +81,6 @@ class ConfusionMatrix:
     true_labels: list[str]
     pred_labels: list[str]
     counts: np.ndarray  # len(true_labels) x len(pred_labels), int64
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
     def row_normalized(self) -> np.ndarray:
         sums = self.counts.sum(axis=1, keepdims=True)

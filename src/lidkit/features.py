@@ -63,7 +63,6 @@ class FeatureMap:
     """T x F matrix of log mel energies for one utterance."""
 
     data: np.ndarray
-    frame_hop: float
     id: str = ""
 
     @property
@@ -163,4 +162,4 @@ def compute_mfsc(clip: AudioClip, config: FeatureConfig) -> FeatureMap:
         chunk = slice(start, start + _CHUNK_FRAMES)
         power = np.abs(np.fft.rfft(frames[chunk] * window, n=config.fft_size, axis=1)) ** 2
         feats[chunk] = np.log(power @ fb.T + config.log_floor)
-    return FeatureMap(data=feats, frame_hop=config.frame_hop, id=clip.id)
+    return FeatureMap(data=feats, id=clip.id)

@@ -6,9 +6,7 @@ the valid frames, and returns the weighted sum of the raw frames as the
 utterance embedding.
 
 Every function takes a padded batch: (N, C, T) frames with N valid
-lengths, (N, C) embeddings, (N, K) logits with N targets.  Only
-``sap_forward`` also takes a single utterance, (C, T) frames, and then
-returns unbatched state.
+lengths, (N, C) embeddings, (N, K) logits with N targets.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ class SapForwardState:
     """Batched arrays; T_used is the longest valid length in the batch."""
 
     hidden: np.ndarray  # N x d_att x T_used
-    scores: np.ndarray  # N x T_used
     weights: np.ndarray  # N x T, zero beyond each valid length
     embedding: np.ndarray  # N x C
 
@@ -54,18 +51,12 @@ def init_sap_params(in_channels: int, d_att: int, n_classes: int, seed: int) -> 
     return params
 
 
-def sap_forward(x: np.ndarray, params: dict[str, np.ndarray], valid_len=None) -> SapForwardState:
-    """x: (N, C, T) with N valid lengths, or (C, T) with one.
-
-    Frames at t >= valid_len are excluded; None means every frame is valid.
-    """
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
+def sap_forward(x: np.ndarray, params: dict[str, np.ndarray], valid_len) -> SapForwardState:
+    """x: (N, C, T) with N valid lengths; frames at t >= valid_len are excluded."""
     if x.ndim != 3:
-        raise ShapeError("sap_forward expects (N, C, T) or (C, T)")
+        raise ShapeError("sap_forward expects (N, C, T)")
     n, c, t = x.shape
-    valid = np.full(n, t) if valid_len is None else np.asarray(valid_len, dtype=np.int64).reshape(-1)
+    valid = np.asarray(valid_len, dtype=np.int64).reshape(-1)
     if valid.shape != (n,):
         raise ShapeError(f"expected {n} valid lengths, got {valid.size}")
     if np.any(valid < 1) or np.any(valid > t):
@@ -85,9 +76,7 @@ def sap_forward(x: np.ndarray, params: dict[str, np.ndarray], valid_len=None) ->
     weights = np.zeros((n, t), dtype=x.dtype)
     weights[:, :t_used] = z / z.sum(axis=1, keepdims=True)
     embedding = np.matmul(xv, weights[:, :t_used, None])[:, :, 0]
-    if squeeze:
-        return SapForwardState(hidden[0], scores[0], weights[0], embedding[0])
-    return SapForwardState(hidden, scores, weights, embedding)
+    return SapForwardState(hidden, weights, embedding)
 
 
 def sap_backward(

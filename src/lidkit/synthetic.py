@@ -32,14 +32,13 @@ def make_clip(class_idx: int, rng: np.random.Generator, sample_rate: int = 16000
     return AudioClip(samples=signal.astype(np.float32), sample_rate=sample_rate, id=clip_id)
 
 
-def make_corpus(n_classes: int = 3, clips_per_class: int = 10, seed: int = 0,
-                sample_rate: int = 16000, duration: float = 1.0) -> list[tuple[AudioClip, str]]:
-    """Returns (clip, label) pairs with labels ``band0``..``band{n-1}``."""
+def make_corpus(n_classes: int = 3, clips_per_class: int = 10, seed: int = 0) -> list[tuple[AudioClip, str]]:
+    """Returns 1 s, 16 kHz (clip, label) pairs with labels ``band0``..``band{n-1}``."""
     rng = np.random.default_rng(seed)
     corpus = []
     for c in range(n_classes):
         for i in range(clips_per_class):
-            clip = make_clip(c, rng, sample_rate, duration, clip_id=f"band{c}_{i:03d}")
+            clip = make_clip(c, rng, clip_id=f"band{c}_{i:03d}")
             corpus.append((clip, f"band{c}"))
     return corpus
 
@@ -52,5 +51,5 @@ def write_corpus_wavs(corpus, out_dir: str | Path) -> list[dict]:
     for clip, label in corpus:
         path = out / f"{clip.id}.wav"
         path.write_bytes(encode_wav(clip.samples, clip.sample_rate))
-        records.append({"audio_filepath": str(path), "label": label, "duration": clip.duration})
+        records.append({"audio_filepath": str(path), "label": label})
     return records

@@ -2,7 +2,8 @@
 
 All randomness (batch order, SpecAugment, dropout) derives from
 (seed, epoch, step) counters, so a run is reproducible from its seed and
-a resumed run continues bit-identically to an uninterrupted one.
+a resumed run's parameters, running statistics and step continue
+bit-identically to an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from lidkit.augment import AugmentConfig, apply_specaugment
 from lidkit.encoder import EncoderConfig
+from lidkit.evaluation import top1_accuracy
 from lidkit.features import FeatureMap
 from lidkit.model import Model, batch_from_features, model_backward, model_forward, predict, tensor_table
 from lidkit.tensor_ops import ShapeError, _into
@@ -129,6 +131,13 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: fl
 # checkpoints: magic, u32 version, u64 header length, JSON header, f32 blobs
 
 
+def atomic_write(path: str | Path, data: bytes) -> None:
+    """Write ``data`` beside ``path`` first, then rename it over ``path``."""
+    tmp = Path(str(path) + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def _header_tensors(table) -> list[dict]:
     return [{"name": name, "shape": list(shape), "kind": kind} for name, shape, kind in table]
 
@@ -147,9 +156,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
     by_kind = {"param": model.params, "state": model.state}
     blobs = b"".join(np.ascontiguousarray(by_kind[kind][name], dtype="<f4").tobytes() for name, _, kind in table)
     payload = CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)) + header_bytes + blobs
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    atomic_write(path, payload)
 
 
 def load_checkpoint(path: str | Path) -> Model:
@@ -167,9 +174,9 @@ def load_checkpoint(path: str | Path) -> Model:
         check_fields(EncoderConfig, header["encoder"], "encoder")
         cfg = EncoderConfig(**header["encoder"])
         d_att, labels, step, entries = header["d_att"], header["labels"], header["step"], header["tensors"]
-        if not (is_int(d_att) and d_att >= 0 and is_int(step) and isinstance(labels, list)
+        if not (is_int(d_att) and d_att >= 1 and is_int(step) and isinstance(labels, list)
                 and all(isinstance(lab, str) for lab in labels) and isinstance(entries, list)):
-            raise TypeError("d_att must be an integer >= 0, step an integer, labels a list of strings "
+            raise TypeError("d_att must be an integer >= 1, step an integer, labels a list of strings "
                             "and tensors a list")
     except (KeyError, TypeError, ValueError, OverflowError, ShapeError) as exc:  # ValueError: bad UTF-8 or JSON
         raise CheckpointError(f"{path}: corrupt header: {exc!r}") from exc
@@ -219,12 +226,7 @@ def _epoch_batches(data: Dataset, batch_size: int, rng: np.random.Generator) -> 
 
 
 def evaluate_top1(model: Model, data: Dataset) -> float:
-    correct = 0
-    for fm, label in data:
-        pred, _, _ = predict(model, fm)
-        if model.labels.index(pred) == label:
-            correct += 1
-    return correct / len(data)
+    return top1_accuracy([predict(model, fm)[0] for fm, _ in data], [model.labels[label] for _, label in data])
 
 
 def train(
@@ -239,7 +241,8 @@ def train(
     """Train in place; returns history and the best-on-validation snapshot.
 
     ``start_epoch`` > 0 resumes a run whose model was restored from a
-    checkpoint saved at that epoch boundary.
+    checkpoint saved at that epoch boundary; the best score, its snapshot
+    and the patience counter start afresh.
     """
     if not train_data or not val_data:
         raise TrainError("train and validation sets must be non-empty")

@@ -41,9 +41,9 @@ def test_sap_forward_rows_match_single_calls(batch):
     st = sap_forward(x, params, VALID)
     assert st.weights.shape == (3, T) and st.embedding.shape == (3, C)
     for i, v in enumerate(VALID):
-        single = sap_forward(x[i, :, :v], params)
-        assert np.max(np.abs(st.embedding[i] - single.embedding)) <= 1e-12
-        assert np.max(np.abs(st.weights[i, :v] - single.weights)) <= 1e-12
+        single = sap_forward(x[i : i + 1, :, :v], params, [v])
+        assert np.max(np.abs(st.embedding[i] - single.embedding[0])) <= 1e-12
+        assert np.max(np.abs(st.weights[i, :v] - single.weights[0])) <= 1e-12
         assert np.all(st.weights[i, v:] == 0.0)
 
 
@@ -72,7 +72,7 @@ def test_backward_grads_are_sums_of_row_grads(batch):
     row_sums = {k: np.zeros_like(v) for k, v in {**head_grads, **sap_grads}.items()}
     for i, v in enumerate(VALID):
         x_i = x[i : i + 1, :, :v]
-        single = sap_forward(x_i, params)
+        single = sap_forward(x_i, params, [v])
         ge_i, hg_i = classify_backward(single.embedding, params, grad_logits[i : i + 1])
         gx_i, sg_i = sap_backward(single, x_i, params, ge_i)
         assert np.max(np.abs(logits[i] - classify(single.embedding, params)[0])) <= 1e-12
@@ -96,7 +96,7 @@ def _tiny_model():
 def test_eval_model_forward_matches_predict():
     model = _tiny_model()
     rng = np.random.default_rng(4)
-    maps = [FeatureMap(data=rng.standard_normal((int(v), 6)).astype(np.float32), frame_hop=0.01, id=f"u{i}")
+    maps = [FeatureMap(data=rng.standard_normal((int(v), 6)).astype(np.float32), id=f"u{i}")
             for i, v in enumerate(VALID)]
     x, valid = batch_from_features(maps)
     logits, loss, cache = model_forward(model, x, valid, mode="eval")
@@ -250,7 +250,7 @@ def _bench_layout_model():
                         out_channels=512, dropout_rate=0.1)
     model = build_model(cfg, [f"lang{i}" for i in range(6)], seed=0)
     rng = np.random.default_rng(12)
-    x, valid = batch_from_features([FeatureMap(rng.standard_normal((t, 40)).astype(np.float32), frame_hop=0.01)
+    x, valid = batch_from_features([FeatureMap(rng.standard_normal((t, 40)).astype(np.float32))
                                     for t in (148, 198)])
     return model, x, valid
 
@@ -295,7 +295,7 @@ def _paper_width_predict_peak(sub_blocks: int) -> float:
     cfg = EncoderConfig(channels=(512,) * 5, kernel_sizes=(33, 39, 51, 63, 75), sub_blocks=sub_blocks,
                         input_dim=40, out_channels=512, dropout_rate=0.1)
     model = build_model(cfg, [f"lang{i}" for i in range(6)], seed=0, d_att=256)
-    fm = FeatureMap(np.random.default_rng(8).standard_normal((1998, 40)).astype(np.float32), frame_hop=0.01)
+    fm = FeatureMap(np.random.default_rng(8).standard_normal((1998, 40)).astype(np.float32))
     return peak_bytes(lambda: predict(model, fm)) / (512 * 1998 * 4)
 
 

@@ -1,6 +1,8 @@
 import json
 import struct
 
+import lidkit.cli
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from lidkit.cli import CliError, build_report, load_manifest, main, split_manife
 from lidkit.diagnostics import ALL_CHECKS
 from lidkit.evaluation import load_taxonomy
 from lidkit.synthetic import make_corpus, write_corpus_wavs
+from lidkit.training import load_checkpoint, save_checkpoint
 from tests.conftest import DATA_DIR
 
 
@@ -155,8 +158,8 @@ class TestEvaluate:
 
     def test_oracle_predictions_give_100_percent(self, tmp_path, taxonomy_23_path):
         tax = load_taxonomy(taxonomy_23_path)
-        labels = tax.languages * 2
-        report = build_report(list(labels), labels, tax, tax.languages)
+        labels = sorted(tax.entries) * 2
+        report = build_report(list(labels), labels, tax, sorted(tax.entries))
         assert report["top1"] == {"language": 1.0, "genus": 1.0, "family": 1.0}
 
     def test_unknown_language_excluded_from_accuracy(self, tmp_path, taxonomy_23_path):
@@ -361,6 +364,14 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
         return str(path)
 
     corrupt = edited_checkpoint("corrupt.lidk", lambda h: h.pop("labels"))
+    # d_att 0 with tensor entries to match; it used to load and predict with uniform attention
+    zero_att = load_checkpoint(checkpoint)
+    zero_att.d_att = 0
+    zero_att.params.update({"sap.W": np.zeros((0, zero_att.encoder_cfg.out_channels), np.float32),
+                            "sap.b": np.zeros(0, np.float32), "sap.mu": np.zeros(0, np.float32)})
+    save_checkpoint(zero_att, tmp_path / "zero_att.lidk")
+    full_taxonomy = tmp_path / "full_tax.tsv"
+    full_taxonomy.write_text("band0\tlow\tsynthetic\nband1\tmid\tsynthetic\nband2\thigh\tsynthetic\n")
     renamed = edited_checkpoint("renamed.lidk", lambda h: h["tensors"][0].update(name="enc.renamed"))
     nul_manifest = tmp_path / "nul.jsonl"
     nul_manifest.write_text(json.dumps({"audio_filepath": "a\u0000b.wav", "label": "band0"}) + "\n")
@@ -388,7 +399,19 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
         "featurize_missing_manifest": ["featurize", "--manifest", missing],
         "missing_taxonomy": evaluate + ["--manifest", str(manifest), "--taxonomy", str(tmp_path / "no.tsv")],
         "taxonomy_without_trained_label": evaluate + ["--manifest", str(manifest), "--taxonomy", str(taxonomy)],
+        # a feature width the encoder does not take is refused before any clip is featurized
         "predict_other_n_mels": ["predict", "--checkpoint", str(checkpoint), "--wav", wav, "--config", str(mels)],
+        "evaluate_other_n_mels": ["evaluate", "--checkpoint", str(checkpoint), "--config", str(mels),
+                                  "--manifest", str(manifest), "--taxonomy", str(full_taxonomy),
+                                  "--out", str(tmp_path / "eval")],
+        "train_other_n_mels": split + ["--config", str(mels)],
+        "predict_zero_d_att": ["predict", "--checkpoint", str(tmp_path / "zero_att.lidk"), "--wav", wav,
+                               "--config", str(tiny_config)],
+        # each used to exit 0 and silently ignore the second way of naming the inputs
+        "predict_wav_and_manifest": ["predict", "--checkpoint", str(checkpoint), "--wav", wav,
+                                     "--manifest", str(manifest), "--config", str(tiny_config)],
+        "train_split_and_pair": split + ["--config", str(tiny_config), "--train-manifest", str(manifest),
+                                         "--val-manifest", str(manifest)],
         "checkpoint_without_labels": ["predict", "--checkpoint", corrupt, "--wav", wav,
                                       "--config", str(tiny_config)],
         # names that build_model does not make used to load and end predict in a KeyError
@@ -417,7 +440,8 @@ class TestErrors:
         "checkpoint_without_labels", "negative_split", "renamed_tensor", "featurize_nul_path",
         "train_negative_seed", "config_negative_seed", "gradcheck_negative_seed", "predict_empty_manifest",
         "config_negative_patience", "config_zero_total_steps", "config_huge_channels", "config_huge_kernel",
-        "config_huge_d_att", "config_huge_n_mels",
+        "config_huge_d_att", "config_huge_n_mels", "evaluate_other_n_mels", "train_other_n_mels",
+        "predict_zero_d_att", "predict_wav_and_manifest", "train_split_and_pair",
     ])
     def test_exits_2_with_one_error_line(self, case, tmp_path, corpus_dir, trained_dir, tiny_config, capsys):
         argv = _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config)[case]
@@ -425,3 +449,12 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("case", ["train_other_n_mels", "evaluate_other_n_mels", "predict_other_n_mels"])
+    def test_feature_width_refused_before_featurizing(self, case, monkeypatch, tmp_path, corpus_dir, trained_dir,
+                                                      tiny_config, capsys):
+        argv = _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config)[case]
+        monkeypatch.setattr(lidkit.cli, "featurize_records", lambda *args: pytest.fail("featurized"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "features.n_mels is 32" in err and "input_dim 40" in err

@@ -35,7 +35,7 @@ class TestConfig:
 
     def test_full_size_layout(self):
         cfg = EncoderConfig.full_size()
-        assert cfg.num_blocks == 15 and cfg.sub_blocks == 5
+        assert len(cfg.channels) == 15 and cfg.sub_blocks == 5
         assert set(cfg.channels) == {512}
         assert cfg.kernel_sizes == (33, 33, 33, 39, 39, 39, 51, 51, 51, 63, 63, 63, 75, 75, 75)
 
@@ -152,7 +152,7 @@ class TestForward:
         h = T.conv1d_depthwise(x, params["enc.prologue.dw"])
         h = T.conv1d_pointwise(h, params["enc.prologue.pw_w"], params["enc.prologue.pw_b"])
         h = T.relu(bn_eval(h, "enc.prologue.bn"))
-        for b in range(cfg.num_blocks):
+        for b in range(len(cfg.channels)):
             res = T.conv1d_pointwise(h, params[f"enc.block{b}.res.pw_w"], params[f"enc.block{b}.res.pw_b"])
             res = bn_eval(res, f"enc.block{b}.res.bn")
             # zeroed sub-blocks contribute bn_eval(0) before the residual join

@@ -24,16 +24,16 @@ def rand_params(c, d_att, n_classes, seed):
 class TestSapForward:
     def test_single_frame_identity(self):
         params = rand_params(3, 4, 2, seed=0)
-        x = np.random.default_rng(0).standard_normal((3, 1))
-        st_ = sap_forward(x, params, valid_len=1)
-        assert np.array_equal(st_.weights, np.array([1.0]))
-        assert np.max(np.abs(st_.embedding - x[:, 0])) <= 1e-7
+        x = np.random.default_rng(0).standard_normal((1, 3, 1))
+        st_ = sap_forward(x, params, valid_len=[1])
+        assert np.array_equal(st_.weights, np.array([[1.0]]))
+        assert np.max(np.abs(st_.embedding - x[:, :, 0])) <= 1e-7
 
     def test_identical_frames_uniform_weights(self):
         params = rand_params(3, 4, 2, seed=1)
         frame = np.random.default_rng(1).standard_normal(3)
-        x = np.tile(frame[:, None], (1, 6))
-        st_ = sap_forward(x, params)
+        x = np.tile(frame[None, :, None], (1, 1, 6))
+        st_ = sap_forward(x, params, valid_len=[6])
         assert np.max(np.abs(st_.weights - 1 / 6)) <= 1e-6
         assert np.max(np.abs(st_.embedding - frame)) <= 1e-6
 
@@ -55,17 +55,17 @@ class TestSapForward:
         w = [v / sum(z) for v in z]
         e_expected = np.array([w[0] * x[0, 0] + w[1] * x[0, 1],
                                w[0] * x[1, 0] + w[1] * x[1, 1]])
-        st_ = sap_forward(x, params)
-        assert np.max(np.abs(st_.weights - np.array(w))) <= 1e-6
-        assert np.max(np.abs(st_.embedding - e_expected)) <= 1e-6
+        st_ = sap_forward(x[None], params, valid_len=[2])
+        assert np.max(np.abs(st_.weights[0] - np.array(w))) <= 1e-6
+        assert np.max(np.abs(st_.embedding[0] - e_expected)) <= 1e-6
 
     def test_weights_are_distribution(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             c, t = int(rng.integers(1, 6)), int(rng.integers(1, 9))
             params = rand_params(c, 3, 2, seed=int(rng.integers(1 << 30)))
-            x = rng.standard_normal((c, t))
-            st_ = sap_forward(x, params)
+            x = rng.standard_normal((1, c, t))
+            st_ = sap_forward(x, params, valid_len=[t])
             assert np.all(st_.weights >= 0)
             assert abs(st_.weights.sum() - 1.0) <= 1e-6
 
@@ -74,36 +74,39 @@ class TestSapForward:
         for _ in range(100):
             c, t = 4, int(rng.integers(2, 10))
             params = rand_params(c, 3, 2, seed=int(rng.integers(1 << 30)))
-            x = rng.standard_normal((c, t))
-            st_ = sap_forward(x, params)
-            assert np.all(st_.embedding >= x.min(axis=1) - 1e-9)
-            assert np.all(st_.embedding <= x.max(axis=1) + 1e-9)
+            x = rng.standard_normal((1, c, t))
+            st_ = sap_forward(x, params, valid_len=[t])
+            assert np.all(st_.embedding >= x.min(axis=2) - 1e-9)
+            assert np.all(st_.embedding <= x.max(axis=2) + 1e-9)
 
     def test_score_shift_invariance(self):
         # adding a constant to every attention score leaves w and e unchanged
         params = rand_params(3, 4, 2, seed=4)
         x = np.random.default_rng(4).standard_normal((3, 5))
-        st_ = sap_forward(x, params)
-        w_shifted = softmax(st_.scores + 123.0)
+        scores = params["sap.mu"] @ np.tanh(params["sap.W"] @ x + params["sap.b"][:, None])
+        st_ = sap_forward(x[None], params, valid_len=[5])
+        w_shifted = softmax(scores + 123.0)
         e_shifted = x @ w_shifted
-        assert np.max(np.abs(w_shifted - st_.weights)) <= 1e-5
-        assert np.max(np.abs(e_shifted - st_.embedding)) <= 1e-5
+        assert np.max(np.abs(w_shifted - st_.weights[0])) <= 1e-5
+        assert np.max(np.abs(e_shifted - st_.embedding[0])) <= 1e-5
 
     def test_padding_bit_neutrality(self):
         params = rand_params(3, 4, 2, seed=5)
-        x = np.random.default_rng(5).standard_normal((3, 4))
-        padded = np.concatenate([x, np.random.default_rng(6).standard_normal((3, 3))], axis=1)
-        a = sap_forward(x, params, valid_len=4)
-        b = sap_forward(padded, params, valid_len=4)
+        x = np.random.default_rng(5).standard_normal((1, 3, 4))
+        padded = np.concatenate([x, np.random.default_rng(6).standard_normal((1, 3, 3))], axis=2)
+        a = sap_forward(x, params, valid_len=[4])
+        b = sap_forward(padded, params, valid_len=[4])
         assert np.array_equal(a.embedding, b.embedding)
-        assert np.array_equal(b.weights[4:], np.zeros(3))
+        assert np.array_equal(b.weights[0, 4:], np.zeros(3))
 
     def test_invalid_valid_len(self):
         params = rand_params(2, 3, 2, seed=6)
         with pytest.raises(ShapeError):
-            sap_forward(np.zeros((2, 4)), params, valid_len=0)
+            sap_forward(np.zeros((1, 2, 4)), params, valid_len=[0])
         with pytest.raises(ShapeError):
-            sap_forward(np.zeros((2, 4)), params, valid_len=5)
+            sap_forward(np.zeros((1, 2, 4)), params, valid_len=[5])
+        with pytest.raises(ShapeError):  # one (C, T) utterance is no batch
+            sap_forward(np.zeros((2, 4)), params, valid_len=[4])
 
 
 class TestSapBackward:

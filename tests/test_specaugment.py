@@ -8,7 +8,7 @@ from lidkit.features import FeatureMap
 
 def make_fm(t=50, f=40, seed=0):
     rng = np.random.default_rng(seed)
-    return FeatureMap(data=rng.standard_normal((t, f)).astype(np.float32), frame_hop=0.01, id="u")
+    return FeatureMap(data=rng.standard_normal((t, f)).astype(np.float32), id="u")
 
 
 def test_disabled_is_bit_identical():

@@ -38,7 +38,7 @@ def toy_dataset(n_per_class=6, n_classes=3, input_dim=8, seed=0, t_range=(8, 14)
             t = int(rng.integers(*t_range))
             fm = rng.standard_normal((t, input_dim)).astype(np.float32) * 0.1
             fm[:, c] += 2.0
-            data.append((FeatureMap(data=fm, frame_hop=0.01, id=f"c{c}_{i}"), c))
+            data.append((FeatureMap(data=fm, id=f"c{c}_{i}"), c))
     return data
 
 
@@ -217,6 +217,17 @@ class TestCheckpoint:
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
         path.write_bytes(raw[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + raw[16 + header_len :])
         with pytest.raises(CheckpointError, match=f"encoder.{field} must be "):
+            load_checkpoint(path)
+
+    def test_zero_d_att_refused(self, tmp_path):
+        # tensor entries that agree with d_att 0, so that only the d_att rule can refuse the header
+        model = toy_model(seed=10)
+        model.d_att = 0
+        model.params.update({"sap.W": np.zeros((0, TINY.out_channels), np.float32),
+                             "sap.b": np.zeros(0, np.float32), "sap.mu": np.zeros(0, np.float32)})
+        path = tmp_path / "m.lidk"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match="d_att must be an integer >= 1"):
             load_checkpoint(path)
 
     def test_bad_magic_reported(self, tmp_path):
