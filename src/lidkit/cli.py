@@ -261,21 +261,14 @@ def cmd_predict(args) -> int:
     if failures:  # fail fast: one bad clip and nothing is printed
         raise CliError(f"{failures[0]['audio_filepath']}: {failures[0]['error']}")
 
-    outputs = []
     for fm, _ in data:
         label, posterior, attention = predict(model, fm)
-        outputs.append(
-            {
-                "id": fm.id,
-                "label": label,
-                "posterior": {lab: float(p) for lab, p in zip(model.labels, posterior)},
-                "attention": [float(w) for w in attention],
-            }
-        )
-    for rec in outputs:
-        print(json.dumps(rec))
-    if args.out:
-        atomic_write(args.out, ("\n".join(json.dumps(r) for r in outputs) + "\n").encode())
+        print(json.dumps({
+            "id": fm.id,
+            "label": label,
+            "posterior": {lab: float(p) for lab, p in zip(model.labels, posterior)},
+            "attention": [float(w) for w in attention],
+        }))
     return 0
 
 
@@ -322,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wav")
     p.add_argument("--manifest")
     p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every layer")

