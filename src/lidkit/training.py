@@ -219,8 +219,10 @@ Dataset = list[tuple[FeatureMap, int]]
 
 
 def _epoch_batches(data: Dataset, batch_size: int, rng: np.random.Generator) -> list[list[int]]:
-    # length bucketing: sort by frame count, chunk, then shuffle batch order
-    order = sorted(range(len(data)), key=lambda i: (data[i][0].n_frames, i))
+    # length bucketing: sort by frame count, ties in an order drawn afresh each epoch, chunk,
+    # then shuffle batch order; so clips of one length meet different clips every epoch
+    perm = rng.permutation(len(data))
+    order = sorted(range(len(data)), key=lambda i: (data[i][0].n_frames, perm[i]))
     batches = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
     rng.shuffle(batches)
     return batches
