@@ -115,7 +115,8 @@ def _depthwise_check(name: str, rng: np.random.Generator, t: int, k: int) -> Che
 
 
 def check_conv_depthwise(rng: np.random.Generator) -> CheckResult:
-    return _depthwise_check("conv1d_depthwise", rng, 6, 5)
+    """T + K - 1 = 13 pads to an FFT length of 15, so the wrap-around reads are checked too."""
+    return _depthwise_check("conv1d_depthwise", rng, 5, 9)
 
 
 def check_conv_depthwise_paper_width(rng: np.random.Generator) -> CheckResult:
@@ -209,9 +210,9 @@ def check_composite(rng: np.random.Generator) -> CheckResult:
         return model_backward(model, cache)
 
     inputs = {"input": x64, **params}
-    # a coarser step occasionally crosses a ReLU kink in the deep composite, and
-    # float64 central differences stay accurate down to ~1e-7
-    err = finite_diff_check(loss, grads, inputs, epsilon=1e-6)
+    # a step of 1e-6 still crossed a ReLU kink on one draw in a hundred (error 7.9e-2, and 3.9e-9
+    # at 1e-7); float64 central differences stay accurate down to ~1e-8
+    err = finite_diff_check(loss, grads, inputs, epsilon=1e-7)
     return CheckResult("composite_encoder_sap_ce", err, COMPOSITE_TOL)
 
 

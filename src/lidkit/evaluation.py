@@ -25,16 +25,6 @@ class Taxonomy:
                 raise EvaluationError(f"genus {genus!r} maps to multiple families")
             genus_family[genus] = family
 
-    def genus_of(self, language: str) -> str:
-        if language not in self.entries:
-            raise EvaluationError(f"unknown language {language!r}")
-        return self.entries[language][0]
-
-    def family_of(self, language: str) -> str:
-        if language not in self.entries:
-            raise EvaluationError(f"unknown language {language!r}")
-        return self.entries[language][1]
-
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
     """One line per language: ``language<TAB>genus<TAB>family``; # comments."""
@@ -69,11 +59,13 @@ def top1_accuracy(predictions: list[str], labels: list[str]) -> float:
 
 def rollup(predictions: list[str], taxonomy: Taxonomy, level: str) -> list[str]:
     """Replace each language label by its genus or family."""
-    if level == "genus":
-        return [taxonomy.genus_of(p) for p in predictions]
-    if level == "family":
-        return [taxonomy.family_of(p) for p in predictions]
-    raise EvaluationError(f"unknown level {level!r}")
+    index = {"genus": 0, "family": 1}.get(level)
+    if index is None:
+        raise EvaluationError(f"unknown level {level!r}")
+    for p in predictions:
+        if p not in taxonomy.entries:
+            raise EvaluationError(f"unknown language {p!r}")
+    return [taxonomy.entries[p][index] for p in predictions]
 
 
 @dataclass(frozen=True)

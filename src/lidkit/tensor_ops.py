@@ -49,7 +49,8 @@ def _rfft(a: np.ndarray, n: int) -> np.ndarray:
     input through its float64 loop: a float64 copy, transformed in double
     precision and rounded back to complex64.  norm="forward" passes a float32
     1/n instead; the factor n is restored in place.  Other dtypes keep the
-    default call, so float64 results are unchanged bit for bit.
+    default call, which a train step takes once its first dropout has made
+    the activations float64.
     """
     if a.dtype != np.float32:
         return np.fft.rfft(a, n)
@@ -58,32 +59,28 @@ def _rfft(a: np.ndarray, n: int) -> np.ndarray:
     return spec
 
 
-def _dft_table(kernels: np.ndarray, n: int) -> np.ndarray | None:
-    """The table ``_kernel_spectrum`` multiplies a float32 (C, K) bank by; None for other dtypes.
+def _dft_table(kernels: np.ndarray, n: int) -> np.ndarray:
+    """The table ``_kernel_spectrum`` multiplies a (C, K) bank by.
 
-    rfft(eye(K), n), the DFT of each unit impulse, rounded to complex64
-    and viewed as a (K, 2*(n//2+1)) float32 array.
+    rfft(eye(K), n), the DFT of each unit impulse, rounded to the bank's
+    complex type (complex64 for float32, complex128 for float64) and viewed
+    as a (K, 2*(n//2+1)) array of the bank's dtype.
     """
-    if kernels.dtype != np.float32:
-        return None
-    return np.fft.rfft(np.eye(kernels.shape[1]), n).astype(np.complex64).view(np.float32)
+    return np.fft.rfft(np.eye(kernels.shape[1]), n).astype(np.result_type(kernels, np.complex64)).view(kernels.dtype)
 
 
-def _kernel_spectrum(kernels: np.ndarray, n: int, table: np.ndarray | None) -> np.ndarray:
-    """``np.fft.rfft(kernels, n)`` of a (C, K) bank, as one GEMM when the bank is float32.
+def _kernel_spectrum(kernels: np.ndarray, n: int, table: np.ndarray) -> np.ndarray:
+    """``np.fft.rfft(kernels, n)`` of a (C, K) bank, as one GEMM.
 
     A K-tap row has n//2+1 frequencies, each a K-term sum: ``kernels @ D``
-    with D = ``_dft_table(kernels, n)``, so the float32 product, viewed as
-    complex64, is the spectrum: one BLAS call instead of C transforms of
-    length n.  The table is built once per conv call, in about the time of
-    the product, and shared by its channel blocks; a cache of tables saved
-    no measurable time, and one of spectra would have to follow every
-    change of the weights.  Other dtypes (``table`` None) keep
-    ``np.fft.rfft``, as ``_rfft`` does.
+    with D = ``_dft_table(kernels, n)``, so the product, viewed as the
+    bank's complex type, is the spectrum: one BLAS call instead of C
+    transforms of length n.  The table is built once per conv call, in
+    about the time of the product, and shared by its channel blocks; a
+    cache of tables saved no measurable time, and one of spectra would have
+    to follow every change of the weights.
     """
-    if table is None:
-        return np.fft.rfft(kernels, n)
-    return (kernels @ table).view(np.complex64)
+    return (kernels @ table).view(np.result_type(kernels, np.complex64))
 
 
 _BLOCK_BYTES = 1 << 20
@@ -118,19 +115,16 @@ def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
     The correlation is the linear convolution with the reversed kernel, read
     from offset K//2 and computed by FFT (Mathieu et al. 2013, arXiv:1312.5851).
-    Each operand is transformed at its own precision: float32 input in
-    numpy's float32 loop (``_rfft``), a float32 kernel bank by one GEMM
-    against a DFT table (``_kernel_spectrum``), float64 exactly as
-    ``np.fft.rfft`` does.  Channels are independent, so the bank runs in
-    ``_channel_blocks``: each block's spectra are multiplied (in place when
-    that rounds as out of place would), inverted and written into the one
-    output, so the transient is a block's spectra, not the bank's.
-    A K = 1 kernel is a per-channel scale and is applied exactly.
+    Each operand is transformed at its own precision: the input by
+    ``_rfft``, the kernel bank, of any width, by one GEMM against a DFT
+    table (``_kernel_spectrum``).  Channels are independent, so the bank
+    runs in ``_channel_blocks``: each block's spectra are multiplied (in
+    place when that rounds as out of place would), inverted and written
+    into the one output, so the transient is a block's spectra, not the
+    bank's.
     """
     half = _half_width(x, kernels)
     t, k = x.shape[2], kernels.shape[1]
-    if k == 1:
-        return (kernels * x).astype(x.dtype, copy=False)
     n = _fft_length(t + k - 1)
     y = np.empty(x.shape, x.dtype)  # before the table: the other order cost a 20 s predict ~5k more page faults
     kernels = kernels[:, ::-1]
@@ -147,9 +141,6 @@ def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 def conv1d_depthwise_backward(grad_out: np.ndarray, x: np.ndarray, kernels: np.ndarray):
     half = _half_width(x, kernels)
     t, k = x.shape[2], kernels.shape[1]
-    if k == 1:
-        grad_k = np.sum(grad_out * x, axis=(0, 2))[:, None].astype(kernels.dtype)
-        return (kernels * grad_out).astype(x.dtype, copy=False), grad_k
     # the adjoint of the correlation convolves grad_out with the kernel;
     # grad_k[j] = sum_{n,t} grad_out[t] * x[t + j - K//2], the lags -K//2..K//2
     n = _fft_length(t + k - 1)

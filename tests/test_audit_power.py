@@ -52,6 +52,12 @@ MUTANTS = [
     pytest.param(tensor_ops, "conv1d_depthwise_backward", "spec_g.conj(), axis=0), n)",
                  "spec_g.conj(), axis=0), n)\n        lags = np.roll(lags, 1, axis=1)",
                  id="depthwise_grad_k_lag_off_by_one"),
+    pytest.param(tensor_ops, "conv1d_depthwise_backward", "lags[:, n - half :]", "lags[:, t + k - 1 - half : t + k - 1]",
+                 id="depthwise_negative_lags_read_before_the_fft_padding"),
+    pytest.param(tensor_ops, "_kernel_spectrum", "kernels @ table", "kernels[:, ::-1] @ table",
+                 id="kernel_spectrum_of_the_reversed_bank"),
+    pytest.param(tensor_ops, "_dft_table", "np.fft.rfft(np.eye(kernels.shape[1]), n)",
+                 "np.fft.rfft(np.eye(kernels.shape[1]), n).conj()", id="dft_table_conjugated"),
     pytest.param(sap, "sap_backward", "gxv += grad_e[:, :, None] * wv[:, None, :]", "pass",
                  id="sap_without_direct_term"),
     pytest.param(tensor_ops, "dropout_backward", "grad_out * (keep / (1.0 - p))", "grad_out / (1.0 - p)",

@@ -54,11 +54,6 @@ def naive_pointwise(x, w, b):
 
 
 class TestDepthwiseConv:
-    def test_k1_identity_kernel(self):
-        x = np.arange(24, dtype=np.float64).reshape(2, 2, 6)
-        out = T.conv1d_depthwise(x, np.ones((2, 1)))
-        assert np.array_equal(out, x)
-
     def test_centered_delta(self):
         x = np.array([[[1.0, 2.0, 3.0]]])
         out = T.conv1d_depthwise(x, np.array([[0.0, 1.0, 0.0]]))
@@ -85,7 +80,7 @@ class TestDepthwiseConv:
 
 
 class TestDepthwiseConvFFT:
-    """Every kernel width takes the FFT path but K = 1; the paper's are 33-75 wide."""
+    """Every kernel width takes the FFT path; the paper's are 33-75 wide."""
 
     @pytest.mark.parametrize("k", [1, 3, 7, 15, 17, 33, 39, 51, 63, 75])
     @pytest.mark.parametrize("t", [1, 20, 200])
@@ -180,21 +175,28 @@ class TestDepthwiseConvFFT:
         kernels = rng.standard_normal((64, 33))
         t, half = x.shape[2], 33 // 2
         n = T._fft_length(t + 33 - 1)
-        want = np.fft.irfft(T._rfft(x, n) * np.fft.rfft(kernels[:, ::-1], n), n)[..., half : half + t]
+        spec_k = T._kernel_spectrum(kernels[:, ::-1], n, T._dft_table(kernels, n))
+        want = np.fft.irfft(T._rfft(x, n) * spec_k, n)[..., half : half + t]
         got = T.conv1d_depthwise(x, kernels)
         assert got.dtype == np.float32 and np.array_equal(got, want.astype(np.float32))
 
     @pytest.mark.parametrize("k", [33, 75])
-    def test_float64_equals_the_default_norm_formulas(self, k):
-        # float64 keeps numpy's default-norm transforms, so the audit and the oracles see the same bits
+    def test_float64_equals_the_gemm_spectrum_formulas(self, k):
+        # a float64 bank's spectrum is the GEMM a float32 bank's is, and its input and gradient keep
+        # numpy's default-norm transforms; 64 channels are one block, and the GEMM rounds by its row count
         rng = np.random.default_rng(k)
-        x, g = rng.standard_normal((2, 2, 512, 150))
-        kernels = rng.standard_normal((512, k))
+        x, g = rng.standard_normal((2, 2, 64, 150))
+        kernels = rng.standard_normal((64, k))
         t, half = x.shape[2], k // 2
         n = T._fft_length(t + k - 1)
         rfft, irfft = np.fft.rfft, np.fft.irfft
-        want = irfft(rfft(x, n) * rfft(kernels[:, ::-1], n), n)[..., half : half + t]
-        want_gx = irfft(rfft(g, n) * rfft(kernels, n), n)[..., half : half + t]
+        table = T._dft_table(kernels, n)
+        spec_k, spec_rev = T._kernel_spectrum(kernels, n, table), T._kernel_spectrum(kernels[:, ::-1], n, table)
+        assert spec_k.dtype == np.complex128
+        ref = rfft(kernels, n)
+        assert np.max(np.abs(spec_k - ref)) <= 1e-13 * np.max(np.abs(ref))
+        want = irfft(rfft(x, n) * spec_rev, n)[..., half : half + t]
+        want_gx = irfft(rfft(g, n) * spec_k, n)[..., half : half + t]
         lags = irfft(np.sum(rfft(x, n) * rfft(g, n).conj(), axis=0), n)
         want_gk = np.concatenate((lags[:, n - half :], lags[:, : half + 1]), axis=1)
         gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
