@@ -126,6 +126,19 @@ def _analysis_tables(config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
 _CHUNK_FRAMES = 256
 
 
+def _preemphasize(x: np.ndarray, p: float) -> np.ndarray:
+    """y[0] = x[0], y[t] = x[t] - p * x[t-1], in one new buffer; x is not written.
+
+    Each step rounds as ``concatenate([x[:1], x[1:] - p * x[:-1]])`` does,
+    without its two temporaries.  x may be the caller's own float64 samples.
+    """
+    y = np.empty_like(x)
+    y[0] = x[0]
+    np.multiply(x[:-1], p, out=y[1:])
+    np.subtract(x[1:], y[1:], out=y[1:])
+    return y
+
+
 def compute_mfsc(clip: AudioClip, config: FeatureConfig) -> FeatureMap:
     """Pre-emphasis -> framing -> Hamming window -> power spectrum -> mel -> log.
 
@@ -148,7 +161,7 @@ def compute_mfsc(clip: AudioClip, config: FeatureConfig) -> FeatureMap:
 
     x = np.asarray(clip.samples, dtype=np.float64)
     if config.preemphasis > 0:
-        x = np.concatenate([x[:1], x[1:] - config.preemphasis * x[:-1]])
+        x = _preemphasize(x, config.preemphasis)
 
     win, hop = config.win_samples, config.hop_samples
     n_frames = frame_count(len(x), config)

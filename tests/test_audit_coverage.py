@@ -21,7 +21,7 @@ MODULES = (encoder, sap, tensor_ops, model)
 # _rfft's float32 branch: the audit runs in float64, and a train step's input layer is float32.
 # Once dropout keeps activations float32, the audit's float64 is the only caller of the other
 # branch; that branch goes then, and with it this allowance.
-RFFT_FLOAT32 = ('spec = np.fft.rfft(a, n, norm="forward")', "spec *= n", "return spec")
+RFFT_FLOAT32 = ('spec = np.fft.rfft(buf, norm="forward")', "spec *= n", "return spec")
 
 
 def rfft_float32_lines() -> set[tuple[str, int]]:

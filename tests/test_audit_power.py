@@ -56,8 +56,8 @@ MUTANTS = [
                  id="depthwise_negative_lags_read_before_the_fft_padding"),
     pytest.param(tensor_ops, "_kernel_spectrum", "kernels @ table", "kernels[:, ::-1] @ table",
                  id="kernel_spectrum_of_the_reversed_bank"),
-    pytest.param(tensor_ops, "_dft_table", "np.fft.rfft(np.eye(kernels.shape[1]), n)",
-                 "np.fft.rfft(np.eye(kernels.shape[1]), n).conj()", id="dft_table_conjugated"),
+    pytest.param(tensor_ops, "_dft_table", "np.fft.rfft(np.eye(kernels.shape[1], n))",
+                 "np.fft.rfft(np.eye(kernels.shape[1], n)).conj()", id="dft_table_conjugated"),
     pytest.param(sap, "sap_backward", "gxv += grad_e[:, :, None] * wv[:, None, :]", "pass",
                  id="sap_without_direct_term"),
     pytest.param(tensor_ops, "dropout_backward", "grad_out * (keep / (1.0 - p))", "grad_out / (1.0 - p)",

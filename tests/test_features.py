@@ -11,7 +11,7 @@ from lidkit.features import (
     hz_to_mel,
     mel_filterbank,
 )
-from lidkit.features import _analysis_tables
+from lidkit.features import _analysis_tables, _preemphasize
 from tests.conftest import peak_bytes
 
 
@@ -144,6 +144,23 @@ class TestComputeMfsc:
         samples = rng.uniform(-1, 1, 5000).astype(np.float32)
         fm = compute_mfsc(make_clip(samples), FeatureConfig())
         assert np.all(np.isfinite(fm.data))
+
+
+class TestPreemphasis:
+    @pytest.mark.parametrize("n", [1, 2, 400, 16001])
+    def test_bit_identical_to_the_concatenate_formula(self, n):
+        x = np.random.default_rng(n).uniform(-1, 1, n).astype(np.float32).astype(np.float64)
+        p = FeatureConfig().preemphasis
+        want = np.concatenate([x[:1], x[1:] - p * x[:-1]])
+        got = _preemphasize(x, p)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_float64_samples_left_unmodified(self):
+        # np.asarray hands compute_mfsc the caller's own float64 array
+        samples = np.random.default_rng(6).uniform(-1, 1, 16001)
+        before = samples.tobytes()
+        compute_mfsc(AudioClip(samples=samples, sample_rate=16000, id="t"), FeatureConfig())
+        assert samples.tobytes() == before
 
 
 class TestCachedFrontEnd:
