@@ -1,9 +1,11 @@
 """Print the memory trackers that every memory change is measured by.
 
-Three numbers, each from seeded random features and tracemalloc (what
-the call allocates beyond what already exists), in MiB:
+Four numbers, each from seeded random features and tracemalloc (what
+the call allocates beyond what already exists), the first three in MiB:
 
 - one 20 s ``predict`` (1998 frames) by the full-size 15x5/512 model;
+- one list ``predict`` of that model over 20 clips of 98 frames (1 s
+  each), which runs as one batch within the 20 s clip's frame budget;
 - one N = 2 train step (forward + backward, dropout 0.1) of that model
   on clips of 150 and 200 frames;
 - the bytes per frame that a train-mode cache holds in the benchmark's
@@ -84,6 +86,8 @@ def main():
     model = full_size_model()
     (fm,) = feature_maps([1998], seed=2)
     print(f"full-size 20 s predict:             {peak_mib(lambda: predict(model, fm)):8.2f} MiB")
+    clips = feature_maps([98] * 20, seed=5)
+    print(f"full-size list predict, 20 x 98 fr: {peak_mib(lambda: predict(model, clips)):8.2f} MiB")
     maps = feature_maps([150, 200], seed=3)
     print(f"full-size train step, 150+200 fr:   {peak_mib(lambda: train_step(model, maps)):8.2f} MiB")
     del model

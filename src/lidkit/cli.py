@@ -231,7 +231,7 @@ def cmd_evaluate(args) -> int:
     if not data:
         raise CliError("no usable utterances")
     labels = [lab for _, lab in data]
-    predictions = [predict(model, fm)[0] for fm, _ in data]
+    predictions = [label for label, _, _ in predict(model, [fm for fm, _ in data])]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,8 +261,7 @@ def cmd_predict(args) -> int:
     if failures:  # fail fast: one bad clip and nothing is printed
         raise CliError(f"{failures[0]['audio_filepath']}: {failures[0]['error']}")
 
-    for fm, _ in data:
-        label, posterior, attention = predict(model, fm)
+    for (fm, _), (label, posterior, attention) in zip(data, predict(model, [fm for fm, _ in data])):
         print(json.dumps({
             "id": fm.id,
             "label": label,

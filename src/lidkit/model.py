@@ -3,7 +3,10 @@
 Training, prediction and the composite gradient check share one batched
 path: ``model_forward`` runs the encoder, pooling, head and loss once
 over a padded (N, input_dim, T) batch, and ``model_backward`` returns the
-gradient of every parameter and of the input batch.
+gradient of every parameter and of the input batch.  ``predict`` labels
+one utterance or a list of them; a list is sorted by length and cut into
+eval batches of at most ``PREDICT_FRAME_BUDGET`` padded frames, which is
+how validation, ``lidkit evaluate`` and ``lidkit predict --manifest`` run.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lidkit.audio import MAX_DURATION_S
 from lidkit.encoder import (
     EncoderConfig,
     build_encoder,
@@ -20,7 +24,7 @@ from lidkit.encoder import (
     encoder_param_shapes,
     encoder_state_shapes,
 )
-from lidkit.features import FeatureMap
+from lidkit.features import FeatureConfig, FeatureMap, frame_count
 from lidkit.sap import (
     classify,
     classify_backward,
@@ -33,6 +37,9 @@ from lidkit.sap import (
 from lidkit.tensor_ops import softmax
 
 D_ATT_DEFAULT = 256
+# the frames of the longest clip decode_wav returns (1,998 at default features): a batch of
+# predict never holds more activation than one 20 s prediction does
+PREDICT_FRAME_BUDGET = frame_count(int(MAX_DURATION_S * FeatureConfig().sample_rate), FeatureConfig())
 
 
 @dataclass
@@ -134,14 +141,37 @@ def model_backward(model: Model, cache) -> dict[str, np.ndarray]:
     return grads
 
 
-def predict(model: Model, fm: FeatureMap):
-    """Eval-mode prediction for one utterance.
+def predict(model: Model, maps: FeatureMap | list[FeatureMap]):
+    """Eval-mode prediction for one utterance, or for a list of them.
 
-    Returns (label, posterior over labels, attention profile of length T).
+    For one ``FeatureMap`` returns (label, posterior over labels, attention
+    profile of length ``n_frames``); for a list, a list of those triples in
+    input order.  A list is sorted by ``n_frames`` (stably, so equal lengths
+    keep input order) and cut into batches whose N x T_max stays within
+    ``PREDICT_FRAME_BUDGET``; a map longer than the budget runs alone.
+    Each batch is one eval ``model_forward``.  A single map is a batch of
+    one, so its result is bit for bit the one-row forward's.  Rows of a
+    larger batch match their one-row results to ~1e-6, not bit for bit:
+    padding changes the FFT length, and the head GEMM has N rows.
     """
-    x, valid = batch_from_features([fm])
-    logits, _, cache = model_forward(model, x, valid, mode="eval")
-    posterior = softmax(logits[0])
-    idx = int(np.argmax(posterior))  # argmax takes the lowest index on ties
-    attention = cache[2].weights[0]
-    return model.labels[idx], posterior, attention
+    single = isinstance(maps, FeatureMap)
+    if single:
+        maps = [maps]
+    order = sorted(range(len(maps)), key=lambda i: maps[i].n_frames)
+    results = [None] * len(maps)
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and (end - start + 1) * maps[order[end]].n_frames <= PREDICT_FRAME_BUDGET:
+            end += 1
+        batch = order[start:end]
+        x, valid = batch_from_features([maps[i] for i in batch])
+        logits, _, cache = model_forward(model, x, valid, mode="eval")
+        weights = cache[2].weights
+        del x, cache  # the next batch's forward must not run beside this one's frames
+        for r, i in enumerate(batch):
+            posterior = softmax(logits[r])
+            idx = int(np.argmax(posterior))  # argmax takes the lowest index on ties
+            results[i] = (model.labels[idx], posterior, weights[r, : valid[r]])
+        start = end
+    return results[0] if single else results

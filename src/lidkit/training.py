@@ -229,7 +229,8 @@ def _epoch_batches(data: Dataset, batch_size: int, rng: np.random.Generator) -> 
 
 
 def evaluate_top1(model: Model, data: Dataset) -> float:
-    return top1_accuracy([predict(model, fm)[0] for fm, _ in data], [model.labels[label] for _, label in data])
+    predictions = [label for label, _, _ in predict(model, [fm for fm, _ in data])]
+    return top1_accuracy(predictions, [model.labels[label] for _, label in data])
 
 
 def train(

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lidkit.model
 from lidkit import diagnostics
+from lidkit.model import PREDICT_FRAME_BUDGET
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -45,6 +47,32 @@ def peak_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def forward_batches(monkeypatch):
+    """The valid lengths of every batch that ``predict`` hands ``model_forward``, one list per call."""
+    batches = []
+    real = lidkit.model.model_forward
+
+    def spy(model, x, valid_lens, *args, **kwargs):
+        assert x.shape[2] == max(valid_lens)  # padded to the batch's longest clip, no further
+        batches.append([int(v) for v in valid_lens])
+        return real(model, x, valid_lens, *args, **kwargs)
+
+    monkeypatch.setattr(lidkit.model, "model_forward", spy)
+    return batches
+
+
+def check_budget_batches(batches: list[list[int]], lengths: list[int]) -> None:
+    """The batches hold every length once, in length order, each within the frame budget, and each as
+    full as the budget allows: one forward per budget batch, not one per utterance."""
+    flat = [t for batch in batches for t in batch]
+    assert flat == sorted(lengths), (batches, lengths)
+    for batch in batches:
+        assert len(batch) == 1 or len(batch) * max(batch) <= PREDICT_FRAME_BUDGET, batch
+    for batch, following in zip(batches, batches[1:]):
+        assert (len(batch) + 1) * following[0] > PREDICT_FRAME_BUDGET, (batch, following)
 
 
 @pytest.fixture

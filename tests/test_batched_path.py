@@ -1,9 +1,10 @@
-"""The batched pooling, head and loss agree with per-utterance calls.
+"""The batched pooling, head, loss and ``predict`` agree with per-utterance calls.
 
 A padded batch of N=3 utterances with valid lengths (T, T-3, 1) goes
 through each function once; every row must match the same function
 called on that utterance alone, as an N=1 batch trimmed to its valid
-length.
+length.  ``predict`` over a list of maps must match ``predict`` on each
+map, and run one eval forward per frame-budget batch.
 """
 
 import tracemalloc
@@ -13,11 +14,13 @@ import pytest
 
 import lidkit.encoder
 from lidkit.encoder import EncoderConfig
-from lidkit.features import FeatureMap
-from lidkit.model import batch_from_features, build_model, model_backward, model_forward, predict
+from lidkit.features import FeatureConfig, FeatureMap, compute_mfsc
+from lidkit.model import PREDICT_FRAME_BUDGET, batch_from_features, build_model, model_backward, model_forward, predict
 from lidkit.sap import classify, classify_backward, cross_entropy, init_sap_params, sap_backward, sap_forward
-from lidkit.tensor_ops import conv1d_depthwise, relu
-from tests.conftest import peak_bytes
+from lidkit.synthetic import make_corpus
+from lidkit.tensor_ops import conv1d_depthwise, relu, softmax
+from lidkit.training import evaluate_top1
+from tests.conftest import check_budget_batches, peak_bytes
 
 T = 7
 VALID = np.array([T, T - 3, 1])
@@ -245,10 +248,14 @@ def test_train_cache_holds_no_depthwise_output(monkeypatch):
     assert not any(np.array_equal(a, y) for a in arrays for y in outputs)
 
 
-def _bench_layout_model():
+def _bench_width_model():
     cfg = EncoderConfig(channels=(512,) * 5, kernel_sizes=(33, 39, 51, 63, 75), sub_blocks=1, input_dim=40,
                         out_channels=512, dropout_rate=0.1)
-    model = build_model(cfg, [f"lang{i}" for i in range(6)], seed=0)
+    return build_model(cfg, [f"lang{i}" for i in range(6)], seed=0)
+
+
+def _bench_layout_model():
+    model = _bench_width_model()
     rng = np.random.default_rng(12)
     x, valid = batch_from_features([FeatureMap(rng.standard_normal((t, 40)).astype(np.float32))
                                     for t in (148, 198)])
@@ -312,3 +319,100 @@ def test_paper_width_predict_peak_memory_five_sub_blocks():
     # the skip: 5.09 activations with whole-bank spectra and a fresh batch-norm output
     peak = _paper_width_predict_peak(5)
     assert peak < 4.4, peak
+
+
+def test_paper_width_list_predict_peak_memory():
+    # 40 clips of 1 s run as two batches of 20 x 98 frames, each no more frames than one 20 s clip,
+    # within test_paper_width_predict_peak_memory's bound: 3.06 activations; holding one batch's
+    # frames and pooling state through the next forward made 4.55
+    model = _bench_width_model()
+    rng = np.random.default_rng(8)
+    maps = [FeatureMap(rng.standard_normal((98, 40)).astype(np.float32)) for _ in range(40)]
+    peak = peak_bytes(lambda: predict(model, maps)) / (512 * 1998 * 4)
+    assert peak < 3.4, peak
+
+
+# shuffled lengths: a one-frame clip, two equal ones, and one past the frame budget that runs alone
+LIST_LENGTHS = {"tiny": [40, 1, 2100, 17, 999, 40, 330, 1000, 5, 260],
+                "bench": [148, 60, 198, 98, 173, 61, 120, 98, 190, 75, 181, 133, 166, 59]}
+
+
+def _list_case(width: str):
+    model, input_dim = (_tiny_model(), 6) if width == "tiny" else (_bench_width_model(), 40)
+    rng = np.random.default_rng(14)
+    maps = [FeatureMap(rng.standard_normal((t, input_dim)).astype(np.float32), id=f"u{i}")
+            for i, t in enumerate(LIST_LENGTHS[width])]
+    return model, maps
+
+
+@pytest.mark.parametrize("width", ["tiny", "bench"])
+def test_list_predict_matches_single_calls(width, forward_batches):
+    model, maps = _list_case(width)
+    batched = predict(model, maps)
+    check_budget_batches(forward_batches, [fm.n_frames for fm in maps])
+    assert 1 < len(forward_batches) < len(maps)
+    assert len(batched) == len(maps)
+    tol = 1e-5  # test_eval_model_forward_matches_predict's
+
+    for i, (fm, (label, posterior, attention)) in enumerate(zip(maps, batched)):
+        single_label, single_posterior, single_attention = predict(model, fm)
+        assert attention.shape == (fm.n_frames,), (i, attention.shape)
+        assert label == single_label, f"row {i}: {label} against {single_label}"
+        for what, a, b in (("posterior", posterior, single_posterior), ("attention", attention, single_attention)):
+            diff = np.max(np.abs(a - b))
+            assert diff <= tol, f"row {i} {what}: max |diff| {diff:.3g} > tol {tol:g}"
+
+
+def test_list_predict_keeps_input_order():
+    model, maps = _list_case("tiny")
+    distinct = [fm for fm in maps if fm.id != "u5"]  # u0 and u5 share a length
+    forward = predict(model, distinct)
+    backward = predict(model, distinct[::-1])[::-1]  # the same batches, so the same bits
+    for fm, (label, posterior, attention), (label_b, posterior_b, attention_b) in zip(distinct, forward, backward):
+        assert len(attention) == fm.n_frames
+        assert (label, posterior.tobytes(), attention.tobytes()) == (label_b, posterior_b.tobytes(),
+                                                                     attention_b.tobytes())
+
+
+def test_equal_lengths_keep_input_order_within_a_batch(monkeypatch):
+    model = _tiny_model()
+    rng = np.random.default_rng(15)
+    maps = [FeatureMap(rng.standard_normal((t, 6)).astype(np.float32)) for t in (9, 4, 9, 9, 4)]
+    inputs = []
+    real = model_forward
+
+    def spy(model, x, valid_lens, *args, **kwargs):
+        inputs.append(x.copy())
+        return real(model, x, valid_lens, *args, **kwargs)
+
+    monkeypatch.setattr(lidkit.model, "model_forward", spy)
+    predict(model, maps)
+    (x,) = inputs
+    for row, i in enumerate([1, 4, 0, 2, 3]):
+        n = maps[i].n_frames
+        assert np.array_equal(x[row, :, :n], maps[i].data.T), (row, i)
+
+
+def test_list_predict_of_no_maps():
+    assert predict(_tiny_model(), []) == []
+
+
+@pytest.mark.parametrize("width", ["tiny", "bench"])
+def test_single_map_is_the_one_row_forward(width):
+    model, maps = _list_case(width)
+    fm = maps[0]
+    label, posterior, attention = predict(model, fm)
+    logits, _, cache = model_forward(model, *batch_from_features([fm]), mode="eval")
+    assert posterior.tobytes() == softmax(logits[0]).tobytes()
+    assert attention.tobytes() == cache[2].weights[0].tobytes()
+    assert label == model.labels[int(np.argmax(logits[0]))]
+
+
+def test_evaluate_top1_runs_one_forward_per_budget_batch(forward_batches):
+    cfg = EncoderConfig(channels=(4, 4), kernel_sizes=(3, 5), sub_blocks=1, input_dim=40, out_channels=5)
+    model = build_model(cfg, ["band0", "band1", "band2"], seed=2, d_att=3)
+    corpus = make_corpus(n_classes=3, clips_per_class=5, seed=1)[:13]
+    data = [(compute_mfsc(clip, FeatureConfig()), int(label[-1])) for clip, label in corpus]
+    assert {fm.n_frames for fm, _ in data} == {98} and 13 * 98 <= PREDICT_FRAME_BUDGET
+    evaluate_top1(model, data)
+    assert forward_batches == [[98] * 13]

@@ -1,17 +1,22 @@
 import json
 import struct
+from pathlib import Path
 
 import lidkit.cli
 
 import numpy as np
 import pytest
 
+from lidkit.audio import decode_wav, encode_wav
 from lidkit.cli import CliError, build_report, load_manifest, main, split_manifest
 from lidkit.diagnostics import ALL_CHECKS
 from lidkit.evaluation import load_taxonomy
-from lidkit.synthetic import make_corpus, write_corpus_wavs
+from lidkit.features import FeatureConfig, compute_mfsc, frame_count
+from lidkit.model import batch_from_features, model_forward
+from lidkit.synthetic import make_clip, make_corpus, write_corpus_wavs
+from lidkit.tensor_ops import softmax
 from lidkit.training import load_checkpoint, save_checkpoint
-from tests.conftest import DATA_DIR
+from tests.conftest import DATA_DIR, check_budget_batches
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +161,17 @@ class TestEvaluate:
         assert (out / "confusion_known.csv").exists()
         assert (out / "confusion_known_pct.csv").exists()
 
+    def test_one_forward_per_budget_batch(self, tmp_path, corpus_dir, trained_dir, tiny_config,
+                                          forward_batches):
+        _, manifest, records = corpus_dir
+        forward_batches.clear()
+        rc = main(["evaluate", "--checkpoint", str(trained_dir / "checkpoint.lidk"),
+                   "--manifest", str(manifest), "--taxonomy", str(self.taxonomy(tmp_path)),
+                   "--config", str(tiny_config), "--out", str(tmp_path / "eval")])
+        assert rc == 0
+        check_budget_batches(forward_batches, [frame_count(16000, FeatureConfig())] * len(records))
+        assert len(forward_batches) == 1
+
     def test_oracle_predictions_give_100_percent(self, tmp_path, taxonomy_23_path):
         tax = load_taxonomy(taxonomy_23_path)
         labels = sorted(tax.entries) * 2
@@ -204,9 +220,48 @@ class TestPredict:
         assert abs(sum(rec["attention"]) - 1.0) <= 1e-5
         assert abs(sum(rec["posterior"].values()) - 1.0) <= 1e-5
 
-    def test_silence_wav(self, tmp_path, trained_dir, tiny_config, capsys):
-        from lidkit.audio import encode_wav
+    def test_manifest_lines_match_wav_runs(self, tmp_path, trained_dir, tiny_config, capsys, forward_batches):
+        durations = (1.3, 0.6, 2.0)
+        rng = np.random.default_rng(5)
+        rows = []
+        for k, seconds in enumerate(durations):
+            path = tmp_path / f"clip{k}.wav"
+            path.write_bytes(encode_wav(make_clip(k, rng, 16000, seconds).samples, 16000))
+            rows.append({"audio_filepath": str(path), "label": f"band{k}"})
+        manifest = tmp_path / "three.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        checkpoint = trained_dir / "checkpoint.lidk"
+        argv = ["predict", "--checkpoint", str(checkpoint), "--config", str(tiny_config)]
+        frames = [frame_count(int(16000 * seconds), FeatureConfig()) for seconds in durations]
 
+        forward_batches.clear()
+        assert main(argv + ["--manifest", str(manifest)]) == 0
+        check_budget_batches(forward_batches, frames)
+        assert len(forward_batches) == 1  # three clips of different lengths in one padded batch
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [rec["id"] for rec in lines] == ["clip0", "clip1", "clip2"]
+
+        model = load_checkpoint(checkpoint)
+        for row, rec, n in zip(rows, lines, frames):
+            assert main(argv + ["--wav", row["audio_filepath"]]) == 0
+            wav_out = capsys.readouterr().out
+            single = json.loads(wav_out)
+            assert rec["label"] == single["label"]
+            assert len(rec["attention"]) == len(single["attention"]) == n
+            assert max(abs(rec["posterior"][lab] - p) for lab, p in single["posterior"].items()) <= 1e-5
+            # a --wav line is that of the one-row eval forward, byte for byte
+            path = Path(row["audio_filepath"])
+            fm = compute_mfsc(decode_wav(path.read_bytes(), clip_id=path.stem), FeatureConfig())
+            logits, _, cache = model_forward(model, *batch_from_features([fm]), mode="eval")
+            posterior = softmax(logits[0])
+            assert wav_out == json.dumps({
+                "id": fm.id,
+                "label": model.labels[int(np.argmax(posterior))],
+                "posterior": {lab: float(p) for lab, p in zip(model.labels, posterior)},
+                "attention": [float(w) for w in cache[2].weights[0]],
+            }) + "\n"
+
+    def test_silence_wav(self, tmp_path, trained_dir, tiny_config, capsys):
         wav = tmp_path / "silence.wav"
         wav.write_bytes(encode_wav(np.zeros(16000, dtype=np.float32), 16000))
         rc = main(["predict", "--checkpoint", str(trained_dir / "checkpoint.lidk"),
