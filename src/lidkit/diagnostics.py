@@ -115,7 +115,7 @@ def _depthwise_check(name: str, rng: np.random.Generator, t: int, k: int) -> Che
 
 
 def check_conv_depthwise(rng: np.random.Generator) -> CheckResult:
-    """T + K - 1 = 13 pads to an FFT length of 15, so the wrap-around reads are checked too."""
+    """T = 5 is one part-filled time block and K = 9 > T, so every window reaches the zero padding on both sides."""
     return _depthwise_check("conv1d_depthwise", rng, 5, 9)
 
 

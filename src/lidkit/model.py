@@ -152,7 +152,8 @@ def predict(model: Model, maps: FeatureMap | list[FeatureMap]):
     Each batch is one eval ``model_forward``.  A single map is a batch of
     one, so its result is bit for bit the one-row forward's.  Rows of a
     larger batch match their one-row results to ~1e-6, not bit for bit:
-    padding changes the FFT length, and the head GEMM has N rows.
+    padding changes the pointwise GEMMs' shapes and SAP's sums, and the
+    head GEMM has N rows (depthwise rows are batch-invariant).
     """
     single = isinstance(maps, FeatureMap)
     if single:

@@ -1,7 +1,10 @@
 """Dense layer primitives: forward and analytic backward for everything the model composes.
 
-Convolutions are stride 1, dilation 1, zero same-padding.  Arrays carry
-whatever dtype the caller passes (float32 in training, float64 in
+Convolutions are stride 1, dilation 1, zero same-padding, and are matrix
+products: pointwise convs one GEMM per call, depthwise convs one small
+block-Toeplitz GEMM per channel, so every output is a direct sum and a
+row of a batch has the bits of its single call.  Arrays carry whatever
+dtype the caller passes (float32 in training, float64 in
 gradient checks); reductions accumulate at numpy's native precision.
 Every function is pure except train-mode ``batch_norm_1d``, which updates
 the running statistics the caller passes in place, and ``relu`` and
@@ -30,82 +33,10 @@ def _into(buf: np.ndarray, *operands):
 # depthwise 1D convolution over time, one kernel per channel
 
 
-def _fft_length(n: int) -> int:
-    """The smallest 2*3*5-smooth length >= n: pocketfft is fastest there."""
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
-
-
-def _rfft(a: np.ndarray, n: int) -> np.ndarray:
-    """``np.fft.rfft(a, n)``, computed in float32 when ``a`` is float32.
-
-    ``a`` is first copied into a zeroed buffer of length n: handed a shorter
-    input, numpy pads it on a slower path (a float32 (103, 1998) block at
-    n = 2160 took over twice as long), and the spectrum is the same bit for
-    bit.
-    With the default norm numpy passes the int scale 1, which sends float32
-    input through its float64 loop: a float64 copy, transformed in double
-    precision and rounded back to complex64.  norm="forward" passes a float32
-    1/n instead; the factor n is restored in place.  Other dtypes keep the
-    default call, which a train step takes once its first dropout has made
-    the activations float64.
-    """
-    buf = np.zeros(a.shape[:-1] + (n,), a.dtype)
-    buf[..., : a.shape[-1]] = a
-    if a.dtype != np.float32:
-        return np.fft.rfft(buf)
-    spec = np.fft.rfft(buf, norm="forward")
-    spec *= n
-    return spec
-
-
-def _dft_table(kernels: np.ndarray, n: int) -> np.ndarray:
-    """The table ``_kernel_spectrum`` multiplies a (C, K) bank by.
-
-    rfft(eye(K), n), the DFT of each unit impulse, rounded to the bank's
-    complex type (complex64 for float32, complex128 for float64) and viewed
-    as a (K, 2*(n//2+1)) array of the bank's dtype.  eye(K, n) is eye(K)
-    already zero-padded to n, as ``_rfft`` pads.
-    """
-    return np.fft.rfft(np.eye(kernels.shape[1], n)).astype(np.result_type(kernels, np.complex64)).view(kernels.dtype)
-
-
-def _kernel_spectrum(kernels: np.ndarray, n: int, table: np.ndarray) -> np.ndarray:
-    """``np.fft.rfft(kernels, n)`` of a (C, K) bank, as one GEMM.
-
-    A K-tap row has n//2+1 frequencies, each a K-term sum: ``kernels @ D``
-    with D = ``_dft_table(kernels, n)``, so the product, viewed as the
-    bank's complex type, is the spectrum: one BLAS call instead of C
-    transforms of length n.  The table is built once per conv call, in
-    about the time of the product, and shared by its channel blocks; a
-    cache of tables saved no measurable time, and one of spectra would have
-    to follow every change of the weights.
-    """
-    return (kernels @ table).view(np.result_type(kernels, np.complex64))
-
-
+# outputs per time block, one row of a block-Toeplitz GEMM; 32 ran a float32 K = 75 forward at
+# T = 1998 ~10% faster, and float64 forwards and backwards at T = 198 1.3-1.8x slower
+_BLOCK = 16
 _BLOCK_BYTES = 1 << 20
-
-
-def _channel_blocks(x: np.ndarray, n: int) -> list[slice]:
-    """The fewest equal slices of x's channels whose spectra fit ``_BLOCK_BYTES``; sizes differ by at most 1.
-
-    A block's spectrum is N x rows x (n//2+1) complex values of 2 *
-    x.itemsize bytes.  Equal blocks, not a fixed row count: OpenBLAS rounds a
-    float32 kernel-spectrum GEMM of few rows differently from the
-    whole-bank product, and no remainder block is left small.  Blocks of
-    >= 128 rows at T = 198, and of >= 16 at T = 1998, give the whole-bank
-    spectra bit for bit.  A bank within the budget is one block.
-    """
-    n_utt, c = x.shape[:2]
-    count = max(1, min(c, -(-c * n_utt * (n // 2 + 1) * 2 * x.itemsize // _BLOCK_BYTES)))
-    return [slice(c * i // count, c * (i + 1) // count) for i in range(count)]
 
 
 def _half_width(x: np.ndarray, kernels: np.ndarray) -> int:
@@ -117,49 +48,96 @@ def _half_width(x: np.ndarray, kernels: np.ndarray) -> int:
     return k // 2
 
 
+def _time_blocks(n_utt: int, t: int) -> int:
+    """nb = ceil(T / _BLOCK) blocks per utterance, and at least two GEMM rows per channel.
+
+    numpy hands a one-row product to GEMV, which sums in another order, so
+    a one-block single call would not have the bits of its row in a batch.
+    """
+    return max(-(-t // _BLOCK), 2 // n_utt)
+
+
+def _channel_blocks(x: np.ndarray, k: int, dtype: np.dtype) -> list[slice]:
+    """The fewest equal slices of x's channels whose transients fit ``_BLOCK_BYTES``; sizes differ by at most 1.
+
+    A channel's transients, in ``dtype``: its zero-padded input, its
+    windows, its product and its Toeplitz matrix (or, in backward, its
+    padded gradient and lag products), the sizes ``_windows`` and the
+    GEMMs give.  Every channel's GEMMs have the same shapes whatever the
+    split, so any split gives the same bits.  A bank within the budget is
+    one block.
+    """
+    n_utt, c, t = x.shape
+    nb, width = _time_blocks(n_utt, t), _BLOCK + k - 1
+    channel = dtype.itemsize * (n_utt * (nb * _BLOCK + k - 1) + n_utt * nb * (width + _BLOCK) + width * _BLOCK)
+    count = max(1, min(c, -(-c * channel // _BLOCK_BYTES)))
+    return [slice(c * i // count, c * (i + 1) // count) for i in range(count)]
+
+
+def _windows(x: np.ndarray, k: int, dtype: np.dtype) -> np.ndarray:
+    """(C, N * nb, _BLOCK + K - 1) of ``dtype``: row (n, j) of channel c is x[n, c] from frame j * _BLOCK - K//2.
+
+    x is zero-padded by K//2 on the left and to nb = ``_time_blocks``
+    whole blocks on the right; the overlapping windows are a strided view
+    of that buffer, copied out: BLAS cannot read overlapping rows.  The
+    view is an ``np.ndarray`` over the buffer: ``as_strided`` leaves a
+    reference cycle per call, garbage that raised the traced memory peaks.
+    """
+    n_utt, c, t = x.shape
+    nb = _time_blocks(n_utt, t)
+    buf = np.zeros((c, n_utt, nb * _BLOCK + k - 1), dtype)
+    buf[..., k // 2 : k // 2 + t] = x.transpose(1, 0, 2)
+    s = buf.strides
+    view = np.ndarray((c, n_utt, nb, _BLOCK + k - 1), dtype, buf, strides=(s[0], s[1], _BLOCK * s[2], s[2]))
+    return np.ascontiguousarray(view).reshape(c, n_utt * nb, _BLOCK + k - 1)
+
+
 def conv1d_depthwise(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """x: (N, C, T); kernels: (C, K) with K odd.  Same zero padding.
 
-    The correlation is the linear convolution with the reversed kernel, read
-    from offset K//2 and computed by FFT (Mathieu et al. 2013, arXiv:1312.5851).
-    Each operand is transformed at its own precision: the input by
-    ``_rfft``, the kernel bank, of any width, by one GEMM against a DFT
-    table (``_kernel_spectrum``).  Channels are independent, so the bank
-    runs in ``_channel_blocks``: each block's spectra are multiplied (in
-    place when that rounds as out of place would), inverted and written
-    into the one output, so the transient is a block's spectra, not the
-    bank's.
+    Time is cut into blocks of ``_BLOCK`` outputs.  A block's outputs of
+    channel c are its input window times a (_BLOCK + K - 1, _BLOCK)
+    Toeplitz matrix M[l, i] = kernels[c, l - i], so each channel is one
+    GEMM of all its windows (convolution unrolled into matrix products:
+    Chellapilla et al. 2006).  Each output is a direct K-term sum,
+    computed in the result type of x and the bank and stored in x's dtype.
+    Channels are independent, so the bank runs in ``_channel_blocks``.
     """
-    half = _half_width(x, kernels)
-    t, k = x.shape[2], kernels.shape[1]
-    n = _fft_length(t + k - 1)
-    y = np.empty(x.shape, x.dtype)  # before the table: the other order cost a 20 s predict ~5k more page faults
-    kernels = kernels[:, ::-1]
-    table = _dft_table(kernels, n)
-    for b in _channel_blocks(x, n):
-        spec = _rfft(x[:, b], n)
-        spec_k = _kernel_spectrum(kernels[b], n, table)
-        spec = np.multiply(spec, spec_k, out=_into(spec, spec, spec_k))
-        del spec_k
-        y[:, b] = np.fft.irfft(spec, n)[..., half : half + t]
+    _half_width(x, kernels)
+    n_utt, c, t = x.shape
+    k = kernels.shape[1]
+    dtype, nb = np.result_type(x, kernels), _time_blocks(n_utt, t)
+    row = np.zeros((c, 2 * _BLOCK + k - 2), dtype)
+    row[:, _BLOCK - 1 : _BLOCK - 1 + k] = kernels
+    s = row.strides  # toeplitz[c, l, i] = row[c, l - i + _BLOCK - 1] = kernels[c, l - i]
+    toeplitz = np.ndarray((c, _BLOCK + k - 1, _BLOCK), dtype, row, (_BLOCK - 1) * s[1], (s[0], s[1], -s[1]))
+    y = np.empty(x.shape, x.dtype)
+    for b in _channel_blocks(x, k, dtype):
+        out = np.matmul(_windows(x[:, b], k, dtype), np.ascontiguousarray(toeplitz[b]))
+        y[:, b] = out.reshape(-1, n_utt, nb * _BLOCK)[..., :t].transpose(1, 0, 2)
     return y
 
 
 def conv1d_depthwise_backward(grad_out: np.ndarray, x: np.ndarray, kernels: np.ndarray):
-    half = _half_width(x, kernels)
-    t, k = x.shape[2], kernels.shape[1]
-    # the adjoint of the correlation convolves grad_out with the kernel;
-    # grad_k[j] = sum_{n,t} grad_out[t] * x[t + j - K//2], the lags -K//2..K//2
-    n = _fft_length(t + k - 1)
-    grad_x = np.empty(x.shape, x.dtype)
+    """Returns (grad_x, grad_k); grad_k has the bank's dtype.
+
+    The adjoint of a same-padded correlation with odd K is the same
+    correlation with the kernel flipped.  grad_k[c, j] = sum_i P[c, i + j, i]
+    for P = windows^T @ grad_out's blocks: the sums of P's K diagonals.
+    """
+    _half_width(x, kernels)
+    n_utt, c, t = x.shape
+    k = kernels.shape[1]
+    grad_x = conv1d_depthwise(grad_out, kernels[:, ::-1]).astype(x.dtype, copy=False)
+    dtype, nb = np.result_type(x, grad_out), _time_blocks(n_utt, t)
     grad_k = np.empty(kernels.shape, kernels.dtype)
-    table = _dft_table(kernels, n)
-    for b in _channel_blocks(x, n):
-        spec_g = _rfft(grad_out[:, b], n)
-        grad_x[:, b] = np.fft.irfft(spec_g * _kernel_spectrum(kernels[b], n, table), n)[..., half : half + t]
-        lags = np.fft.irfft(np.sum(_rfft(x[:, b], n) * spec_g.conj(), axis=0), n)
-        grad_k[b, :half] = lags[:, n - half :]
-        grad_k[b, half:] = lags[:, : half + 1]
+    for b in _channel_blocks(x, k, dtype):
+        g = np.zeros((b.stop - b.start, n_utt, nb * _BLOCK), dtype)
+        g[..., :t] = grad_out[:, b].transpose(1, 0, 2)
+        lags = np.matmul(_windows(x[:, b], k, dtype).transpose(0, 2, 1), g.reshape(-1, n_utt * nb, _BLOCK))
+        s = lags.strides
+        diagonals = np.ndarray((lags.shape[0], k, _BLOCK), dtype, lags, strides=(s[0], s[1], s[1] + s[2]))
+        grad_k[b] = np.ascontiguousarray(diagonals).sum(axis=2)  # contiguous: one summation order for every K
     return grad_x, grad_k
 
 

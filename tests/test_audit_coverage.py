@@ -18,17 +18,6 @@ from lidkit.features import FeatureMap
 
 MODULES = (encoder, sap, tensor_ops, model)
 
-# _rfft's float32 branch: the audit runs in float64, and a train step's input layer is float32.
-# Once dropout keeps activations float32, the audit's float64 is the only caller of the other
-# branch; that branch goes then, and with it this allowance.
-RFFT_FLOAT32 = ('spec = np.fft.rfft(buf, norm="forward")', "spec *= n", "return spec")
-
-
-def rfft_float32_lines() -> set[tuple[str, int]]:
-    lines, start = inspect.getsourcelines(tensor_ops._rfft)
-    return {(tensor_ops.__name__, start + i) for i, line in enumerate(lines) if line.strip() in RFFT_FLOAT32}
-
-
 def lines_run(fn) -> set[tuple[str, int]]:
     """(module name, line number) of every line of ``MODULES`` that fn() runs."""
     files = {inspect.getsourcefile(m): m.__name__ for m in MODULES}
@@ -72,9 +61,6 @@ def train_step_lines() -> set[tuple[str, int]]:
 
 
 def test_audit_runs_every_line_a_train_step_runs():
-    train = train_step_lines()
-    allowed = rfft_float32_lines()
-    assert len(allowed) == len(RFFT_FLOAT32) and allowed <= train
-    missed = sorted(train - allowed - lines_run(lambda: run_all_checks(0)))
+    missed = sorted(train_step_lines() - lines_run(lambda: run_all_checks(0)))
     assert not missed, "lines a train step runs and the audit does not:\n" + "\n".join(
         f"{name}:{lineno}: {source_line(name, lineno)}" for name, lineno in missed)

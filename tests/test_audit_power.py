@@ -49,15 +49,15 @@ MUTANTS = [
     pytest.param(encoder, "encoder_backward", "_conv_bn_backward(grad_skip, skip_cache",
                  "_conv_bn_backward(grad, skip_cache", id="skip_fed_from_block_input"),
     # one adjoint each
-    pytest.param(tensor_ops, "conv1d_depthwise_backward", "spec_g.conj(), axis=0), n)",
-                 "spec_g.conj(), axis=0), n)\n        lags = np.roll(lags, 1, axis=1)",
+    pytest.param(tensor_ops, "conv1d_depthwise_backward", ".sum(axis=2)",
+                 ".sum(axis=2)\n        grad_k[b] = np.roll(grad_k[b], 1, axis=1)",
                  id="depthwise_grad_k_lag_off_by_one"),
-    pytest.param(tensor_ops, "conv1d_depthwise_backward", "lags[:, n - half :]", "lags[:, t + k - 1 - half : t + k - 1]",
-                 id="depthwise_negative_lags_read_before_the_fft_padding"),
-    pytest.param(tensor_ops, "_kernel_spectrum", "kernels @ table", "kernels[:, ::-1] @ table",
-                 id="kernel_spectrum_of_the_reversed_bank"),
-    pytest.param(tensor_ops, "_dft_table", "np.fft.rfft(np.eye(kernels.shape[1], n))",
-                 "np.fft.rfft(np.eye(kernels.shape[1], n)).conj()", id="dft_table_conjugated"),
+    pytest.param(tensor_ops, "conv1d_depthwise_backward", "conv1d_depthwise(grad_out, kernels[:, ::-1])",
+                 "conv1d_depthwise(grad_out, kernels)", id="depthwise_grad_x_with_the_unflipped_kernel"),
+    pytest.param(tensor_ops, "conv1d_depthwise", "_BLOCK - 1 + k] = kernels", "_BLOCK - 1 + k] = kernels[:, ::-1]",
+                 id="depthwise_toeplitz_of_the_reversed_bank"),
+    pytest.param(tensor_ops, "_windows", "buf[..., k // 2 : k // 2 + t]", "buf[..., k // 2 + 1 : k // 2 + 1 + t]",
+                 id="depthwise_windows_shifted_by_one_frame"),
     pytest.param(sap, "sap_backward", "gxv += grad_e[:, :, None] * wv[:, None, :]", "pass",
                  id="sap_without_direct_term"),
     pytest.param(tensor_ops, "dropout_backward", "grad_out * (keep / (1.0 - p))", "grad_out / (1.0 - p)",
@@ -84,9 +84,8 @@ def test_audit_fails_on_planted_bug(monkeypatch, module, name, old, new):
 
 
 def test_audit_fails_on_planted_bug_in_a_later_channel_block(monkeypatch):
-    # at 250 B the audit's banks run in several blocks, so a block that reads the first block's kernels shows
-    monkeypatch.setattr(tensor_ops, "_BLOCK_BYTES", 250)
-    plant(monkeypatch, tensor_ops, "conv1d_depthwise_backward", "_kernel_spectrum(kernels[b], n, table)",
-          "_kernel_spectrum(kernels[: b.stop - b.start], n, table)")
+    # at 1 B every channel is its own block, so a block that reads the first block's kernels shows
+    monkeypatch.setattr(tensor_ops, "_BLOCK_BYTES", 1)
+    plant(monkeypatch, tensor_ops, "conv1d_depthwise", "np.ascontiguousarray(toeplitz[b])",
+          "np.ascontiguousarray(toeplitz[: b.stop - b.start])")
     assert not all(r.passed for r in run_all_checks(0))
-

@@ -22,12 +22,13 @@ def test_one_result_per_primitive():
 
 
 def test_composite_passes_with_every_bank_split_unevenly(monkeypatch):
-    # the composite's banks (5 and 4 channels, spectra of 128 or 160 B a row) in 3 blocks each
-    monkeypatch.setattr(tensor_ops, "_BLOCK_BYTES", 250)
+    # the composite's banks (5 and 4 channels, K 3 and 5, 3,136 or 3,456 float64 bytes of transients
+    # a channel) in 3 blocks each
+    monkeypatch.setattr(tensor_ops, "_BLOCK_BYTES", 6000)
     real, splits = tensor_ops._channel_blocks, []
 
-    def recording(x, n):
-        blocks = real(x, n)
+    def recording(x, k, dtype):
+        blocks = real(x, k, dtype)
         splits.append([b.stop - b.start for b in blocks])
         return blocks
 

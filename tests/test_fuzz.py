@@ -149,8 +149,8 @@ def test_load_manifest_one_value_per_line(tmp_path_factory, values):
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 40), st.integers(0, 40), st.integers(0, 2**32 - 1),
        st.integers(1, 4096))
 def test_depthwise_matches_oracle(n, c, t, half, seed, block_bytes):
-    # a row's spectrum takes 16 B to ~3 kB here, so the drawn budget splits a bank into 1 to C
-    # channel blocks, equal or not
+    # a channel's transients take ~2.8 to ~23 kB here, so the drawn budget splits a bank of C > 1
+    # channels into 2 to C channel blocks, equal or not
     rng = np.random.default_rng(seed)
     x, g = rng.standard_normal((2, n, c, t))
     kernels = rng.standard_normal((c, 2 * half + 1))

@@ -79,8 +79,44 @@ class TestDepthwiseConv:
             assert np.max(np.abs(T.conv1d_depthwise(x, kernels) - want)) <= 1e-6
 
 
+def toeplitz_depthwise(x, g, kernels, block=16):
+    """conv1d_depthwise and its backward written out as window @ Toeplitz GEMMs over the whole bank.
+
+    Returns (y, grad_x, grad_k).  Time is cut into blocks of ``block``
+    outputs; a window is a block's input, zero-padded, with K - 1 frames
+    more; M[c, l, i] = kernels[c, l - i]; grad_k[c, j] sums the diagonal
+    P[c, i + j, i] of P = windows^T @ grad blocks.  For N >= 2 (a one-block
+    call of one utterance runs a second, empty block).
+    """
+    n, c, t = x.shape
+    k = kernels.shape[1]
+    dtype = np.result_type(x, kernels)
+    nb, width = -(-t // block), block + k - 1
+
+    def windows(a):
+        padded = np.zeros((c, n, nb * block + k - 1), dtype)
+        padded[..., k // 2 : k // 2 + t] = a.transpose(1, 0, 2)
+        return np.stack([padded[..., j * block : j * block + width] for j in range(nb)], axis=2).reshape(c, -1, width)
+
+    def correlate(a, bank):
+        m = np.zeros((c, width, block), dtype)
+        for i in range(block):
+            m[:, i : i + k, i] = bank
+        out = np.matmul(windows(a), m).reshape(c, n, nb * block)[..., :t]
+        return out.transpose(1, 0, 2).astype(a.dtype)
+
+    grad_blocks = np.zeros((c, n, nb * block), dtype)
+    grad_blocks[..., :t] = g.transpose(1, 0, 2)
+    p = np.matmul(windows(x).transpose(0, 2, 1), grad_blocks.reshape(c, -1, block))
+    gk = np.ascontiguousarray(p[:, np.arange(k)[:, None] + np.arange(block), np.arange(block)]).sum(axis=2)
+    return correlate(x, kernels), correlate(g, kernels[:, ::-1]), gk.astype(kernels.dtype)
+
+
 class TestDepthwiseConvFFT:
-    """Every kernel width takes the FFT path; the paper's are 33-75 wide."""
+    """Every kernel width, up to the paper's 33-75, against the oracles and the GEMM formula.
+
+    The class keeps the name of the FFT path that the block-Toeplitz GEMMs replaced.
+    """
 
     @pytest.mark.parametrize("k", [1, 3, 7, 15, 17, 33, 39, 51, 63, 75])
     @pytest.mark.parametrize("t", [1, 20, 200])
@@ -98,8 +134,7 @@ class TestDepthwiseConvFFT:
 
     def test_long_clip_float32(self):
         # a 20 s clip at the widest paper kernel, against per-channel float64
-        # np.correlate / np.convolve; float32 FFT error grows with log(L),
-        # so the bound is relative: 1e-5 of the largest reference value
+        # np.correlate / np.convolve; the bound is relative: 1e-5 of the largest reference value
         rng = np.random.default_rng(9)
         x, g = rng.standard_normal((2, 1, 512, 1998)).astype(np.float32)
         kernels = rng.standard_normal((512, 75)).astype(np.float32)
@@ -114,7 +149,7 @@ class TestDepthwiseConvFFT:
             assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
 
     def test_output_owns_its_memory(self):
-        # a view into the padded FFT buffer would keep that buffer alive in the activation cache
+        # a view into a block's product would keep it alive in the activation cache
         rng = np.random.default_rng(4)
         x, g = rng.standard_normal((2, 2, 3, 40))
         for k in (1, 3, 33):
@@ -124,9 +159,8 @@ class TestDepthwiseConvFFT:
                 assert out.base is None
 
     def test_float32_transforms_make_no_float64_copies(self):
-        # numpy's default-norm rfft sends float32 input through its float64 loop, one float64
-        # copy per transform: forward and backward peaked at 5.2x and 7.3x x.nbytes that way;
-        # backward's whole-bank spectra then took 4.25x, its channel blocks ~2.1x
+        # a float32 call must stay float32 throughout: one float64 copy of the windows alone would be
+        # ~11x x.nbytes at K = 75
         rng = np.random.default_rng(13)
         x, g = rng.standard_normal((2, 1, 512, 1998)).astype(np.float32)
         kernels = rng.standard_normal((512, 75)).astype(np.float32)
@@ -135,25 +169,23 @@ class TestDepthwiseConvFFT:
             assert peak_bytes(run) < bound * x.nbytes
 
     def test_forward_frees_its_spectra(self):
-        # the kernel spectrum and the spectra's product used to stay alive until the output
-        # was copied out of the padded buffer: a peak of 3.3x x.nbytes; the whole bank's
-        # spectra at once, 2.3x; a channel block's at a time, ~1.6x
+        # the transients are one channel block's windows, Toeplitz matrices and product, freed
+        # block by block: the whole bank's windows at K = 75 would be 5.6x x.nbytes
         rng = np.random.default_rng(14)
         x = rng.standard_normal((1, 512, 1998)).astype(np.float32)
         kernels = rng.standard_normal((512, 75)).astype(np.float32)
         assert peak_bytes(lambda: T.conv1d_depthwise(x, kernels)) < 2.0 * x.nbytes
 
-    @pytest.mark.parametrize("k", [3, 33, 75])
-    @pytest.mark.parametrize("t", [98, 1998])
-    def test_float32_kernel_spectrum_by_gemm(self, k, t):
-        # float32 banks take one GEMM against a complex64 DFT table instead of C transforms
-        rng = np.random.default_rng([k, t, 1])
-        kernels = rng.standard_normal((64, k)).astype(np.float32)
-        n = T._fft_length(t + k - 1)
-        got = T._kernel_spectrum(kernels[:, ::-1], n, T._dft_table(kernels, n))
-        ref = np.fft.rfft(kernels[:, ::-1].astype(np.float64), n)
-        assert got.dtype == np.complex64 and got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+    @pytest.mark.parametrize("k", [1, 3, 9, 33, 75])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_toeplitz_formula(self, dtype, k):
+        # three utterances of 150 frames: ten blocks, the last part-filled; 64 channels are one block
+        rng = np.random.default_rng([k, 15])
+        x, g = rng.standard_normal((2, 3, 64, 150)).astype(dtype)
+        kernels = rng.standard_normal((64, k)).astype(dtype)
+        gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
+        for got, want in zip((T.conv1d_depthwise(x, kernels), gx, gk), toeplitz_depthwise(x, g, kernels)):
+            assert got.dtype == dtype and np.array_equal(got, want)
 
     def test_float64_input_with_float32_kernels(self):
         # a training step feeds float64 activations (after the first dropout) to float32 kernels
@@ -169,128 +201,82 @@ class TestDepthwiseConvFFT:
             assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
 
     def test_float32_input_with_float64_kernels(self):
-        # the complex128 product must not be rounded into the complex64 input spectrum
+        # the GEMM runs in float64, the result type, and only the output is rounded to float32
         rng = np.random.default_rng(22)
         x = rng.standard_normal((2, 64, 300)).astype(np.float32)
         kernels = rng.standard_normal((64, 33))
-        t, half = x.shape[2], 33 // 2
-        n = T._fft_length(t + 33 - 1)
-        spec_k = T._kernel_spectrum(kernels[:, ::-1], n, T._dft_table(kernels, n))
-        want = np.fft.irfft(T._rfft(x, n) * spec_k, n)[..., half : half + t]
+        want, _, _ = toeplitz_depthwise(x.astype(np.float64), np.zeros(x.shape), kernels)
         got = T.conv1d_depthwise(x, kernels)
         assert got.dtype == np.float32 and np.array_equal(got, want.astype(np.float32))
 
-    @pytest.mark.parametrize("k", [33, 75])
-    def test_float64_equals_the_gemm_spectrum_formulas(self, k):
-        # a float64 bank's spectrum is the GEMM a float32 bank's is, and its input and gradient keep
-        # numpy's default-norm transforms; 64 channels are one block, and the GEMM rounds by its row count
-        rng = np.random.default_rng(k)
-        x, g = rng.standard_normal((2, 2, 64, 150))
-        kernels = rng.standard_normal((64, k))
-        t, half = x.shape[2], k // 2
-        n = T._fft_length(t + k - 1)
-        rfft, irfft = np.fft.rfft, np.fft.irfft
-        table = T._dft_table(kernels, n)
-        spec_k, spec_rev = T._kernel_spectrum(kernels, n, table), T._kernel_spectrum(kernels[:, ::-1], n, table)
-        assert spec_k.dtype == np.complex128
-        ref = rfft(kernels, n)
-        assert np.max(np.abs(spec_k - ref)) <= 1e-13 * np.max(np.abs(ref))
-        want = irfft(rfft(x, n) * spec_rev, n)[..., half : half + t]
-        want_gx = irfft(rfft(g, n) * spec_k, n)[..., half : half + t]
-        lags = irfft(np.sum(rfft(x, n) * rfft(g, n).conj(), axis=0), n)
-        want_gk = np.concatenate((lags[:, n - half :], lags[:, : half + 1]), axis=1)
-        gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
-        for got, ref in ((T.conv1d_depthwise(x, kernels), want), (gx, want_gx), (gk, want_gk)):
-            assert got.dtype == np.float64 and np.array_equal(got, ref)
-
-
-class TestPaddedTransform:
-    """``_rfft`` transforms a zeroed length-n copy of its input: numpy pads a shorter input on a slower path."""
-
-    @staticmethod
-    def numpy_padded_rfft(a, n):
-        """The reference: ``_rfft``'s formulas with numpy padding a to n itself."""
-        if a.dtype != np.float32:
-            return np.fft.rfft(a, n)
-        spec = np.fft.rfft(a, n, norm="forward")
-        spec *= n
-        return spec
-
-    # a 20 s prediction's channel block at K 33 and at K 63-75; a train step's channel blocks, strided
-    # slices of its 2 x 512 x 200 activations, at K 33 and 75; the CLI encoder's 8 x 40 x 98 input at K 3
-    @pytest.mark.parametrize("shape, n, blocks", [
-        ((1, 103, 1998), 2048, 1), ((1, 103, 1998), 2160, 1),
-        ((2, 512, 200), 240, 3), ((2, 512, 200), 288, 3), ((8, 40, 98), 100, 1)])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bit_identical_to_numpys_padding(self, shape, n, blocks, dtype):
-        x = np.random.default_rng([shape[-1], n]).standard_normal(shape).astype(dtype)
-        c = shape[1]
-        for b in (slice(c * i // blocks, c * (i + 1) // blocks) for i in range(blocks)):
-            got, want = T._rfft(x[:, b], n), self.numpy_padded_rfft(x[:, b], n)
-            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    def test_depthwise_never_hands_numpy_a_short_input(self, monkeypatch):
-        # no timing: a float32 (103, 1998) block at n = 2160 took ~1.14 ms on numpy's padding path
-        # and ~0.50 ms zeroed, copied and transformed, so every rfft of a 20 s prediction's depthwise
-        # conv and of its backward must receive its input already n long
-        calls, rfft = [], np.fft.rfft
-
-        def spy(a, n=None, *args, **kwargs):
-            calls.append((np.shape(a)[-1], n))
-            return rfft(a, n, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "rfft", spy)
+    def test_float32_input_gradient_stays_float32(self):
+        # the prologue's backward: float32 features, a float64 gradient from the layers above
         rng = np.random.default_rng(23)
-        x, g = rng.standard_normal((2, 1, 512, 1998)).astype(np.float32)
-        kernels = rng.standard_normal((512, 75)).astype(np.float32)
-        T.conv1d_depthwise(x, kernels)
-        T.conv1d_depthwise_backward(g, x, kernels)
-        n = T._fft_length(1998 + 75 - 1)
-        assert calls and all(length == n and n_arg in (None, n) for length, n_arg in calls), calls
+        x = rng.standard_normal((2, 40, 98)).astype(np.float32)
+        g = rng.standard_normal((2, 40, 98))
+        kernels = rng.standard_normal((40, 33)).astype(np.float32)
+        gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
+        want_gx = toeplitz_depthwise(g, g, kernels.astype(np.float64))[1]  # computed in float64, then rounded
+        assert gx.dtype == gk.dtype == np.float32 and np.array_equal(gx, want_gx.astype(np.float32))
+
+    @pytest.mark.parametrize("k", [3, 33, 75])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_padded_batch_row_equals_its_single_call(self, dtype, k):
+        # a row's windows and GEMM rows do not depend on the batch's other rows or its T; the 16-frame
+        # row is one block, which a single call still runs as a GEMM of two rows
+        rng = np.random.default_rng([k, 16])
+        lengths = [198, 150, 77, 16]
+        x = rng.standard_normal((len(lengths), 64, max(lengths))).astype(dtype)
+        for row, t in enumerate(lengths):
+            x[row, :, t:] = 0
+        kernels = rng.standard_normal((64, k)).astype(np.float32)
+        batch = T.conv1d_depthwise(x, kernels)
+        for row, t in enumerate(lengths):
+            single = T.conv1d_depthwise(x[row : row + 1, :, :t].copy(), kernels)
+            assert np.array_equal(batch[row : row + 1, :, :t], single), row
 
 
-def whole_bank_depthwise(x, g, kernels):
-    """conv1d_depthwise and its backward with the whole bank in one block: one transform per operand."""
-    t, k = x.shape[2], kernels.shape[1]
-    half, n = k // 2, T._fft_length(t + k - 1)
-    spec_k = T._kernel_spectrum(kernels[:, ::-1], n, T._dft_table(kernels, n))
-    y = np.fft.irfft(T._rfft(x, n) * spec_k, n)[..., half : half + t].astype(x.dtype)
-    spec_g = T._rfft(g, n)
-    spec_k = T._kernel_spectrum(kernels, n, T._dft_table(kernels, n))
-    gx = np.fft.irfft(spec_g * spec_k, n)[..., half : half + t].astype(x.dtype)
-    lags = np.fft.irfft(np.sum(T._rfft(x, n) * spec_g.conj(), axis=0), n)
-    gk = np.concatenate((lags[:, n - half :], lags[:, : half + 1]), axis=1).astype(kernels.dtype)
-    return y, gx, gk
+def channel_bytes(x, k, dtype, block=16):
+    """One channel's transients in a depthwise call: padded input, windows, product and Toeplitz matrix."""
+    n, _, t = x.shape
+    nb, width = -(-t // block), block + k - 1
+    return np.dtype(dtype).itemsize * (n * (nb * block + k - 1) + n * nb * (width + block) + width * block)
 
 
 class TestDepthwiseChannelBlocks:
     @pytest.mark.parametrize("shape, x_dtype, k, blocks", [
         ((1, 512, 1998), np.float32, 33, 5), ((1, 512, 1998), np.float32, 75, 5),
         ((2, 512, 198), np.float64, 33, 2), ((2, 512, 198), np.float64, 75, 3)])
-    def test_bench_shapes_equal_the_whole_bank(self, shape, x_dtype, k, blocks):
-        # a 20 s prediction and a train step: the blocks must not move a bit, so float32
-        # kernel-spectrum GEMMs of block rows must round as the whole bank's does
+    def test_bench_shapes_equal_the_whole_bank(self, monkeypatch, shape, x_dtype, k, blocks):
+        # a 20 s prediction and a train step, in their own channel blocks and in `blocks` others: every
+        # channel's GEMMs have the same shapes whatever the split, so no split may move a bit
         rng = np.random.default_rng([k, shape[2]])
         x, g = rng.standard_normal((2, *shape)).astype(x_dtype)
         kernels = rng.standard_normal((shape[1], k)).astype(np.float32)
-        assert len(T._channel_blocks(x, T._fft_length(shape[2] + k - 1))) == blocks
-        gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
-        for got, want in zip((T.conv1d_depthwise(x, kernels), gx, gk), whole_bank_depthwise(x, g, kernels)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        dtype = np.result_type(x, kernels)
+        want = toeplitz_depthwise(x, g, kernels)
+        assert len(T._channel_blocks(x, k, dtype)) > blocks
+        for budget in (T._BLOCK_BYTES, -(-shape[1] * channel_bytes(x, k, dtype) // blocks)):
+            monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
+            gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
+            for got, ref in zip((T.conv1d_depthwise(x, kernels), gx, gk), want):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert len(T._channel_blocks(x, k, dtype)) == blocks
 
     @pytest.mark.parametrize("n, c, t, k, x_dtype", [
         (3, 8, 200, 5, np.float64), (8, 8, 100, 7, np.float32), (4, 40, 100, 3, np.float32), (2, 4, 5, 3, np.float64)])
     def test_bank_within_the_budget_is_one_block(self, n, c, t, k, x_dtype):
         # the tiny and CLI encoders' banks, their input layers and the gradient audit's
         x = np.zeros((n, c, t), x_dtype)
-        assert T._channel_blocks(x, T._fft_length(t + k - 1)) == [slice(0, c)]
+        assert T._channel_blocks(x, k, x.dtype) == [slice(0, c)]
 
     def test_blocks_are_the_fewest_equal_ones(self, monkeypatch):
         x = np.zeros((2, 7, 26))
-        n = T._fft_length(26 + 5 - 1)  # 16 frequencies x 16 B x N = 512 B a row
-        for budget, sizes in ((7 * 512, [7]), (7 * 512 - 1, [3, 4]), (3 * 512, [2, 2, 3]), (1, [1] * 7)):
+        row = channel_bytes(x, 5, x.dtype)  # 8 B x (2 x 36 padded frames + 2 x 2 x (20 + 16) + 20 x 16)
+        assert row == 8 * (2 * 36 + 2 * 2 * (20 + 16) + 20 * 16)
+        for budget, sizes in ((7 * row, [7]), (7 * row - 1, [3, 4]), (3 * row, [2, 2, 3]), (1, [1] * 7)):
             monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
-            assert [b.stop - b.start for b in T._channel_blocks(x, n)] == sizes
+            assert [b.stop - b.start for b in T._channel_blocks(x, 5, x.dtype)] == sizes
 
     @pytest.mark.parametrize("shape, k", [((2, 7, 26), 5), ((2, 512, 198), 33)])
     @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
@@ -299,10 +285,9 @@ class TestDepthwiseChannelBlocks:
         rng = np.random.default_rng([k, 9])
         x = rng.standard_normal(shape).astype(x_dtype)
         kernels = rng.standard_normal((shape[1], k)).astype(np.float32)
-        n = T._fft_length(shape[2] + k - 1)
-        row = shape[0] * (n // 2 + 1) * 2 * x.itemsize
-        monkeypatch.setattr(T, "_BLOCK_BYTES", -(-shape[1] // 3) * row)
-        assert len({b.stop - b.start for b in T._channel_blocks(x, n)}) == 2
+        dtype = np.result_type(x, kernels)
+        monkeypatch.setattr(T, "_BLOCK_BYTES", -(-shape[1] // 3) * channel_bytes(x, k, dtype))
+        assert len({b.stop - b.start for b in T._channel_blocks(x, k, dtype)}) == 2
         first = T.conv1d_depthwise(x, kernels)
         assert first.dtype == x_dtype and np.array_equal(T.conv1d_depthwise(x, kernels), first)
 
