@@ -236,6 +236,55 @@ class TestDepthwiseConvFFT:
             assert np.array_equal(batch[row : row + 1, :, :t], single), row
 
 
+class TestPaddedTransform:
+    """``_windows`` pads its input in a zeroed buffer of its own: numpy's padding path is slower."""
+
+    @staticmethod
+    def numpy_padded_windows(a, k, dtype):
+        """The reference: ``_windows`` cut, block by block, from numpy padding a itself."""
+        n_utt, c, t = a.shape
+        nb, width = T._time_blocks(n_utt, t), T._BLOCK + k - 1
+        right = nb * T._BLOCK + k - 1 - k // 2 - t
+        padded = np.pad(a.transpose(1, 0, 2).astype(dtype), ((0, 0), (0, 0), (k // 2, right)))
+        blocks = [padded[..., j * T._BLOCK : j * T._BLOCK + width] for j in range(nb)]
+        return np.stack(blocks, axis=2).reshape(c, n_utt * nb, width)
+
+    # a 20 s prediction's bank; a train step's channel blocks, strided slices of its 2 x 512 x 200
+    # activations; the CLI encoder's 8 x 40 x 98 input.  n is the FFT length each case ran at before
+    # the GEMMs, n = T + K - 1 rounded up; K is the widest kernel, up to the paper's 75, that fits it
+    @pytest.mark.parametrize("shape, n, blocks", [
+        ((1, 103, 1998), 2048, 1), ((1, 103, 1998), 2160, 1),
+        ((2, 512, 200), 240, 3), ((2, 512, 200), 288, 3), ((8, 40, 98), 100, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_numpys_padding(self, shape, n, blocks, dtype):
+        x = np.random.default_rng([shape[-1], n]).standard_normal(shape).astype(dtype)
+        c, k = shape[1], min(n - shape[2] + 1, 75)
+        for b in (slice(c * i // blocks, c * (i + 1) // blocks) for i in range(blocks)):
+            got, want = T._windows(x[:, b], k, np.dtype(dtype)), self.numpy_padded_windows(x[:, b], k, dtype)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_depthwise_never_hands_numpy_a_short_input(self, monkeypatch):
+        # a 20 s prediction's depthwise conv and its backward pad in their own zeroed buffers: numpy
+        # is handed nothing to pad, and nothing to transform
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        for module, name in ((np, "pad"), (np.fft, "rfft"), (np.fft, "irfft"), (np.fft, "fft"), (np.fft, "ifft")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        rng = np.random.default_rng(23)
+        x, g = rng.standard_normal((2, 1, 512, 1998)).astype(np.float32)
+        kernels = rng.standard_normal((512, 75)).astype(np.float32)
+        y = T.conv1d_depthwise(x, kernels)
+        gx, gk = T.conv1d_depthwise_backward(g, x, kernels)
+        assert calls == [], calls
+        assert y.shape == gx.shape == x.shape and gk.shape == kernels.shape
+
+
 def channel_bytes(x, k, dtype, block=16):
     """One channel's transients in a depthwise call: padded input, windows, product and Toeplitz matrix."""
     n, _, t = x.shape
