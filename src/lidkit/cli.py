@@ -202,7 +202,11 @@ def cmd_train(args) -> int:
 
 
 def build_report(predictions: list[str], labels: list[str], taxonomy: Taxonomy, known_labels: list[str]) -> dict:
-    """Three-level accuracy over the utterances whose true label is known."""
+    """Three-level accuracy over the utterances whose true label is known, and each known label's recall.
+
+    ``per_class`` maps every known label, in ``known_labels`` order, to
+    its count of utterances n and its recall, None when n is 0.
+    """
     known_set = set(known_labels)
     known_pairs = [(p, y) for p, y in zip(predictions, labels) if y in known_set]
     report = {"n_utterances": len(labels), "n_known": len(known_pairs)}
@@ -216,6 +220,8 @@ def build_report(predictions: list[str], labels: list[str], taxonomy: Taxonomy, 
         }
     else:
         report["top1"] = {"language": None, "genus": None, "family": None}
+    hits = {label: [p == y for p, y in known_pairs if y == label] for label in known_labels}
+    report["per_class"] = {label: {"n": len(h), "recall": sum(h) / len(h) if h else None} for label, h in hits.items()}
     return report
 
 
@@ -240,9 +246,7 @@ def cmd_evaluate(args) -> int:
     known_cm, unknown_cm = confusion(predictions, labels, model.labels)
     atomic_write(out / "report.json", (json.dumps(report, indent=2) + "\n").encode())
     atomic_write(out / "confusion_known.csv", known_cm.to_csv().encode())
-    atomic_write(out / "confusion_known_pct.csv", known_cm.to_csv(normalized=True).encode())
     atomic_write(out / "confusion_unknown.csv", unknown_cm.to_csv().encode())
-    atomic_write(out / "confusion_unknown_pct.csv", unknown_cm.to_csv(normalized=True).encode())
     print(json.dumps(report["top1"]))
     return 0
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from lidkit.tensor_ops import (
     ShapeError,
-    _into,
     batch_norm_1d,
     batch_norm_1d_backward,
     conv1d_depthwise,
@@ -235,7 +234,7 @@ def encoder_forward(
             h, drop_mask = dropout(relu(pre, out=pre), cfg.dropout_rate if drop else 0.0, rng, mode)
             del pre  # unless h is pre, nothing reads it now: free it before the next layer's transforms
             if mask is not None:  # h is this layer's fresh dropout or ReLU output
-                h = np.multiply(h, mask, out=_into(h, h, mask))
+                h *= mask
             if train:
                 layer_caches.append((conv_cache, h, drop_mask))
         if train:

@@ -74,20 +74,10 @@ class ConfusionMatrix:
     pred_labels: list[str]
     counts: np.ndarray  # len(true_labels) x len(pred_labels), int64
 
-    def row_normalized(self) -> np.ndarray:
-        sums = self.counts.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pct = np.where(sums > 0, 100.0 * self.counts / sums, 0.0)
-        return pct
-
-    def to_csv(self, normalized: bool = False) -> str:
+    def to_csv(self) -> str:
         lines = ["true\\pred," + ",".join(self.pred_labels)]
-        if normalized:
-            for lab, row in zip(self.true_labels, self.row_normalized()):
-                lines.append(lab + "," + ",".join(f"{v:.2f}" for v in row))
-        else:
-            for lab, row in zip(self.true_labels, self.counts):
-                lines.append(lab + "," + ",".join(str(int(v)) for v in row))
+        for lab, row in zip(self.true_labels, self.counts):
+            lines.append(lab + "," + ",".join(str(int(v)) for v in row))
         return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,7 @@ how validation, ``lidkit evaluate`` and ``lidkit predict --manifest`` run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from lidkit.sap import (
     sap_forward,
     sap_param_shapes,
 )
-from lidkit.tensor_ops import softmax
+from lidkit.tensor_ops import ShapeError, softmax
 
 D_ATT_DEFAULT = 256
 # the frames of the longest clip decode_wav returns (1,998 at default features): a batch of
@@ -104,7 +105,15 @@ def model_forward(
     keeps no encoder cache (None there), only the encoder's output frames
     and the SAP state, whose ``weights`` are the attention; a backward
     needs a train-mode cache.
+
+    A model has one dtype: every array of ``model.params`` and
+    ``model.state``, and x, must have the first parameter's, or a
+    ShapeError names the first that differs and both dtypes.
     """
+    first, ref = next(iter(model.params.items()))
+    for name, a in chain(model.params.items(), model.state.items(), [("the batch", x)]):
+        if a.dtype != ref.dtype:
+            raise ShapeError(f"{name} is {a.dtype} but {first} is {ref.dtype}: a model and its batch share one dtype")
     frames, enc_cache = encoder_forward(
         model.encoder_cfg, model.params, model.state, x, mode=mode, rng=rng, valid_lens=valid_lens,
     )

@@ -3,9 +3,12 @@
 Convolutions are stride 1, dilation 1, zero same-padding, and are matrix
 products: pointwise convs one GEMM per call, depthwise convs one small
 block-Toeplitz GEMM per channel, so every output is a direct sum and a
-row of a batch has the bits of its single call.  Arrays carry whatever
-dtype the caller passes (float32 in training, float64 in
-gradient checks); reductions accumulate at numpy's native precision.
+row of a batch has the bits of its single call.  A model has one dtype,
+which its batch shares (float32 in training and prediction, float64 in
+gradient checks; ``model_forward`` checks it).  Activations only widen
+from it, through dropout's float64 multiplier, so the in-place steps
+here never meet an operand wider than their buffer and check no result
+type.  Reductions accumulate at numpy's native precision.
 Every function is pure except train-mode ``batch_norm_1d``, which updates
 the running statistics the caller passes in place, and ``relu`` and
 eval-mode ``batch_norm_1d`` when handed an ``out`` buffer, which they
@@ -19,14 +22,6 @@ import numpy as np
 
 class ShapeError(Exception):
     pass
-
-
-def _into(buf: np.ndarray, *operands):
-    """``buf`` as the out= of an op on ``operands`` when the op yields buf's dtype, else None.
-
-    Written in place only then, each step rounds as it would out of place.
-    """
-    return buf if np.result_type(*operands) == buf.dtype else None
 
 
 # ---------------------------------------------------------------------------
@@ -187,45 +182,41 @@ def batch_norm_1d(
     place, keeping their dtype; eval mode only reads them.  ``mask``
     (N, 1, T; 1 = valid) restricts the statistics to valid frames so zero
     padding cannot bias them.  Returns (out, cache); pass a train-mode
-    cache to batch_norm_1d_backward.  Both modes build
-    gamma * ((x - mean) * inv_std) + beta one ufunc at a time, in as few
-    buffers as the dtypes allow: eval in one, train in two besides the
-    cached xhat.  Eval mode is inference only and returns None as its cache;
-    given ``out`` of x's shape, it writes there when every step yields x's
-    dtype (``out=x`` normalizes x in place), else into a fresh buffer.
-    Train mode ignores ``out``.
+    cache to batch_norm_1d_backward.  The mode only picks (mean, var):
+    both then build gamma * ((x - mean) * inv_std) + beta one ufunc at a
+    time, each step in place on a buffer at least as wide as its operands
+    (a model has one dtype, and its activations only widen).  Eval mode is
+    inference only and returns None as its cache; it builds every step in
+    ``out`` when given (``out=x`` normalizes x in place), else in one
+    fresh buffer.  Train mode ignores ``out`` and uses two buffers besides
+    the cached xhat.
     """
     if x.ndim != 3:
         raise ShapeError("batch_norm_1d expects (N, C, T)")
     if mode == "eval":
-        inv_std = 1.0 / np.sqrt(running_var + BN_EPSILON)
-        # into out only when every step yields x's dtype: then each rounds as out of place, and
-        # out is never left half normalized
-        fits = out is not None and out.dtype == np.result_type(x, running_mean, inv_std, gamma, beta) == x.dtype
-        out = np.subtract(x, running_mean[None, :, None], out=out if fits else None)
-        for op, v in ((np.multiply, inv_std), (np.multiply, gamma), (np.add, beta)):
-            out = op(out, v[None, :, None], out=_into(out, out, v))
-        return out, None
-    if mode != "train":
+        mean, var = running_mean, running_var
+        d = y = np.subtract(x, mean[None, :, None], out=out)
+    elif mode == "train":
+        n, c, t = x.shape
+        count = float(n * t) if mask is None else float(mask.sum())
+        if count < 2:
+            raise ShapeError("train-mode batch norm needs at least 2 values per channel")
+        mean = x.mean(axis=(0, 2)) if mask is None else np.sum(x * mask, axis=(0, 2)) / count
+        d = x - mean[None, :, None]
+        y = np.square(d)
+        if mask is not None:
+            y *= mask
+        var = np.sum(y, axis=(0, 2)) / count  # without a mask, x.var's value for counts below 2**24
+        m = BN_MOMENTUM
+        running_mean[...] = (1 - m) * running_mean + m * mean
+        running_var[...] = (1 - m) * running_var + m * var
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    n, c, t = x.shape
-    count = float(n * t) if mask is None else float(mask.sum())
-    if count < 2:
-        raise ShapeError("train-mode batch norm needs at least 2 values per channel")
-    mean = x.mean(axis=(0, 2)) if mask is None else np.sum(x * mask, axis=(0, 2)) / count
-    d = x - mean[None, :, None]
-    scratch = np.square(d)
-    if mask is not None:
-        scratch = np.multiply(mask, scratch, out=_into(scratch, mask, scratch))
-    var = np.sum(scratch, axis=(0, 2)) / count  # without a mask, x.var's value for counts below 2**24
-    m = BN_MOMENTUM
-    running_mean[...] = (1 - m) * running_mean + m * mean
-    running_var[...] = (1 - m) * running_var + m * var
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    xhat = np.multiply(d, inv_std[None, :, None], out=_into(d, d, inv_std))
-    out = np.multiply(gamma[None, :, None], xhat, out=_into(scratch, gamma, xhat))
-    out = np.add(out, beta[None, :, None], out=_into(out, out, beta))
-    return out, (xhat, inv_std, gamma, mask, count)
+    xhat = np.multiply(d, inv_std[None, :, None], out=d)
+    y = np.multiply(gamma[None, :, None], xhat, out=y)
+    y += beta[None, :, None]
+    return y, (None if mode == "eval" else (xhat, inv_std, gamma, mask, count))
 
 
 def batch_norm_1d_backward(grad_out: np.ndarray, cache):
@@ -240,12 +231,12 @@ def batch_norm_1d_backward(grad_out: np.ndarray, cache):
     grad_beta = np.sum(grad_out, axis=(0, 2))
     g = gamma[None, :, None] * inv_std[None, :, None]
     grad_x = grad_out - grad_beta[None, :, None] / count
-    scratch = np.multiply(xhat, grad_gamma[None, :, None], out=_into(scratch, xhat, grad_gamma))
+    np.multiply(xhat, grad_gamma[None, :, None], out=scratch)
     scratch /= count
-    grad_x = np.subtract(grad_x, scratch, out=_into(grad_x, grad_x, scratch))
-    grad_x = np.multiply(g, grad_x, out=_into(grad_x, g, grad_x))
+    grad_x -= scratch
+    grad_x *= g
     if mask is not None:
-        grad_x = np.multiply(grad_x, mask, out=_into(grad_x, grad_x, mask))
+        grad_x *= mask
     return grad_x, grad_gamma, grad_beta
 
 

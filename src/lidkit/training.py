@@ -24,7 +24,7 @@ from lidkit.encoder import EncoderConfig
 from lidkit.evaluation import top1_accuracy
 from lidkit.features import FeatureMap
 from lidkit.model import Model, batch_from_features, model_backward, model_forward, predict, tensor_table
-from lidkit.tensor_ops import ShapeError, _into
+from lidkit.tensor_ops import ShapeError
 
 CHECKPOINT_MAGIC = b"LIDK"
 CHECKPOINT_VERSION = 1
@@ -109,8 +109,10 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: fl
     """Plain SGD: p <- p - lr * g, rounded to p's dtype.  Refuses non-finite gradients.
 
     Every gradient is checked before any parameter changes.  The
-    difference is built in the buffer of lr * g when that rounds as out
-    of place would, so each tensor costs one temporary, not two.
+    difference is built in the buffer of lr * g, so each tensor costs one
+    temporary, not two.  That buffer has g's dtype, never narrower than
+    p's: a model's gradients have its dtype, or float64 behind dropout's
+    float64 multiplier, whence the cast back.
     """
     if lr < 0:
         raise TrainError("lr must be nonnegative")
@@ -122,7 +124,7 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: fl
             raise NonFiniteGradientError(f"non-finite gradient in {name!r}; step refused")
     for name, p in params.items():
         u = lr * grads[name]
-        u = np.subtract(p, u, out=_into(u, p, u))
+        np.subtract(p, u, out=u)
         params[name] = u.astype(p.dtype, copy=False)
     return params
 

@@ -4,7 +4,8 @@ A padded batch of N=3 utterances with valid lengths (T, T-3, 1) goes
 through each function once; every row must match the same function
 called on that utterance alone, as an N=1 batch trimmed to its valid
 length.  ``predict`` over a list of maps must match ``predict`` on each
-map, and run one eval forward per frame-budget batch.
+map, and run one eval forward per frame-budget batch.  ``model_forward``
+runs a model of one dtype on a batch of that dtype and refuses any other.
 """
 
 import tracemalloc
@@ -18,7 +19,7 @@ from lidkit.features import FeatureConfig, FeatureMap, compute_mfsc
 from lidkit.model import PREDICT_FRAME_BUDGET, batch_from_features, build_model, model_backward, model_forward, predict
 from lidkit.sap import classify, classify_backward, cross_entropy, init_sap_params, sap_backward, sap_forward
 from lidkit.synthetic import make_corpus
-from lidkit.tensor_ops import conv1d_depthwise, relu, softmax
+from lidkit.tensor_ops import ShapeError, conv1d_depthwise, relu, softmax
 from lidkit.training import evaluate_top1
 from tests.conftest import check_budget_batches, peak_bytes
 
@@ -140,6 +141,50 @@ def test_backward_after_eval_forward_refused():
     assert loss is not None and cache[1] is None
     with pytest.raises(RuntimeError, match="train-mode forward"):
         model_backward(model, cache)
+
+
+def _tiny_model_of(dtype):
+    model = _tiny_model()
+    for tensors in (model.params, model.state):
+        for k, v in tensors.items():
+            tensors[k] = v.astype(dtype)
+    return model
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_dtype_model_runs(dtype):
+    model = _tiny_model_of(dtype)
+    x = np.random.default_rng(5).standard_normal((3, 6, T)).astype(dtype)
+    logits, _, _ = model_forward(model, x, VALID, mode="eval")
+    assert logits.dtype == dtype and np.all(np.isfinite(logits))
+    _, loss, cache = model_forward(model, x, VALID, targets=[0, 2, 1], mode="train", rng=np.random.default_rng(0))
+    grads = model_backward(model, cache)
+    assert np.isfinite(loss) and all(grads[k].dtype == dtype for k in model.params)
+
+
+@pytest.mark.parametrize("model_dtype, batch_dtype, odd", [
+    (np.float32, np.float64, None),
+    (np.float32, np.float32, ("state", "enc.block1.sub0.bn.var", np.float64)),
+    (np.float64, np.float64, ("params", "enc.block0.res.pw_w", np.float32)),
+], ids=["float64_batch", "float64_state", "float32_param"])
+def test_second_dtype_refused_naming_the_tensor(model_dtype, batch_dtype, odd):
+    model = _tiny_model_of(model_dtype)
+    name, dtype = "the batch", batch_dtype
+    if odd is not None:
+        kind, name, dtype = odd
+        tensors = getattr(model, kind)
+        tensors[name] = tensors[name].astype(dtype)
+    message = rf"{name} is {np.dtype(dtype)} but enc\.prologue\.dw is {np.dtype(model_dtype)}"
+    x = np.random.default_rng(5).standard_normal((3, 6, T)).astype(batch_dtype)
+    for mode in ("eval", "train"):
+        with pytest.raises(ShapeError, match=message):
+            model_forward(model, x, VALID, targets=[0, 2, 1], mode=mode, rng=np.random.default_rng(0))
+    if odd is not None:  # predict's batch is float32, and the model's own tensors are checked first
+        fm = FeatureMap(data=np.zeros((T, 6), np.float32), id="u")
+        with pytest.raises(ShapeError, match=rf"{name} is {np.dtype(dtype)}"):
+            predict(model, fm)
+        with pytest.raises(ShapeError, match=rf"{name} is {np.dtype(dtype)}"):
+            predict(model, [fm, fm])
 
 
 def _dropout_model():

@@ -10,7 +10,7 @@ import pytest
 from lidkit.audio import decode_wav, encode_wav
 from lidkit.cli import CliError, build_report, load_manifest, main, split_manifest
 from lidkit.diagnostics import ALL_CHECKS
-from lidkit.evaluation import load_taxonomy
+from lidkit.evaluation import Taxonomy, load_taxonomy
 from lidkit.features import FeatureConfig, compute_mfsc, frame_count
 from lidkit.model import batch_from_features, model_forward
 from lidkit.synthetic import make_clip, make_corpus, write_corpus_wavs
@@ -158,8 +158,21 @@ class TestEvaluate:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert set(report["top1"]) == {"language", "genus", "family"}
-        assert (out / "confusion_known.csv").exists()
-        assert (out / "confusion_known_pct.csv").exists()
+        labels = load_checkpoint(trained_dir / "checkpoint.lidk").labels
+        assert list(report["per_class"]) == labels
+        assert sum(row["n"] for row in report["per_class"].values()) == report["n_known"]
+        # every file evaluate writes is read by something: no row-normalized copies of the counts
+        assert sorted(p.name for p in out.iterdir()) == ["confusion_known.csv", "confusion_unknown.csv",
+                                                        "report.json"]
+
+    def test_per_class_recall_by_hand(self):
+        tax = Taxonomy(entries={lab: ("g", "f") for lab in ("a", "b", "c", "x")})
+        labels = ["a", "a", "a", "b", "x", "a"]
+        preds = ["a", "b", "c", "b", "a", "a"]
+        report = build_report(preds, labels, tax, ["c", "a", "b"])  # c is trained on but never heard
+        assert report["per_class"] == {"c": {"n": 0, "recall": None}, "a": {"n": 4, "recall": 0.5},
+                                       "b": {"n": 1, "recall": 1.0}}
+        assert list(report["per_class"]) == ["c", "a", "b"]
 
     def test_one_forward_per_budget_batch(self, tmp_path, corpus_dir, trained_dir, tiny_config,
                                           forward_batches):
